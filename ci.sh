@@ -166,3 +166,16 @@ timeout 180 cargo bench -p weblint-bench --bench streaming -- --test
 printf '<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>' \
     | cargo run --release -p weblint-cli --bin weblint -- - \
     | grep -q 'malformed heading'
+
+# Linear-time gate (ROADMAP aim 3): every adversarial shape in
+# weblint-corpus (unknown names, stack checks under deep nesting,
+# unterminated tokens carried across feeds) linted at n and 2n, one-shot
+# and streamed in 512-byte and 1-byte feeds; best-of-7 time may grow at
+# most 2.5x per doubling, and streamed output must equal one-shot.
+timeout 120 cargo test -q --release --test linear_time
+
+# The benchmark's own tests (hostile generators build their constructs,
+# corpus pages never reach the side intern, metric lists match
+# BENCHMARK.json). perfbench is a separate workspace, so the workspace
+# test run above does not reach it.
+cargo test --release --manifest-path perfbench/Cargo.toml

@@ -98,7 +98,7 @@ impl Checker<'_> {
             }
         }
 
-        match self.scratch.stack.iter().rposition(|o| o.id == id) {
+        match self.scratch.innermost(id) {
             Some(index) => self.close_matched(index, tag, span),
             None => self.close_unmatched(id, tag, span),
         }
@@ -110,12 +110,8 @@ impl Checker<'_> {
     /// `<A>` case) and parked on the secondary stack, or reported as
     /// *unclosed* (structural elements — the `</HEAD>` over `<TITLE>` case).
     fn close_matched(&mut self, index: usize, tag: &Tag<'_>, span: Span) {
-        while self.scratch.stack.len() > index + 1 {
-            let open = self
-                .scratch
-                .stack
-                .pop()
-                .expect("intervening element exists");
+        while self.scratch.depth() > index + 1 {
+            let open = self.scratch.pop_open().expect("intervening element exists");
             if self.config.heuristics && open.silently_closable() {
                 self.close_bookkeeping(&open, span);
                 self.scratch.release_orig(&open);
@@ -134,7 +130,7 @@ impl Checker<'_> {
                 );
                 // Park it: its own end tag will arrive later and must not
                 // count as unmatched. Its arena slot stays live with it.
-                self.scratch.unresolved.push(open);
+                self.scratch.park(open);
             } else {
                 let orig = open.orig(&self.scratch.origs).to_string();
                 self.emit_fix(
@@ -159,7 +155,7 @@ impl Checker<'_> {
                 self.scratch.release_orig(&open);
             }
         }
-        let open = self.scratch.stack.pop().expect("matched element exists");
+        let open = self.scratch.pop_open().expect("matched element exists");
         // Complete a rename deferred from the open tag (obsolete-element):
         // now that the matching end tag is known, both names can be
         // rewritten together.
@@ -200,10 +196,9 @@ impl Checker<'_> {
     /// as unmatched.
     fn close_unmatched(&mut self, id: NameId, tag: &Tag<'_>, span: Span) {
         if self.config.heuristics {
-            if let Some(pos) = self.scratch.unresolved.iter().rposition(|o| o.id == id) {
+            if let Some(open) = self.scratch.unpark(id) {
                 // The element was displaced by an earlier overlap and has
                 // already been reported; its close resolves silently.
-                let open = self.scratch.unresolved.remove(pos);
                 self.scratch.release_orig(&open);
                 return;
             }
@@ -211,9 +206,7 @@ impl Checker<'_> {
         // The paper's <H1>..</H2> case: a heading closed with the wrong
         // level. Treat the close as ending the open heading so a single
         // typo yields a single message.
-        if let (Some(close_level), Some(top)) =
-            (heading_level(id), self.scratch.stack.last().copied())
-        {
+        if let (Some(close_level), Some(top)) = (heading_level(id), self.scratch.top().copied()) {
             if let Some(open_level) = heading_level(top.id) {
                 if open_level != close_level {
                     let (close_start, close_len) = self.src.range_of(tag.name);
@@ -240,7 +233,7 @@ impl Checker<'_> {
                             )))
                         },
                     );
-                    let open = self.scratch.stack.pop().expect("heading on top");
+                    let open = self.scratch.pop_open().expect("heading on top");
                     self.close_bookkeeping(&open, span);
                     self.scratch.release_orig(&open);
                     return;

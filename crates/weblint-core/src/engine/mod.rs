@@ -354,8 +354,7 @@ impl<'a> Checker<'a> {
 
     /// Whether a `<HEAD>` element is currently open.
     pub(crate) fn in_head(&self) -> bool {
-        let head = known().head;
-        self.scratch.stack.iter().any(|o| o.id == head)
+        self.scratch.innermost(known().head).is_some()
     }
 
     /// End-of-document processing: force-close whatever is still open and
@@ -365,7 +364,7 @@ impl<'a> Checker<'a> {
     pub(crate) fn run_eof_checks(&mut self) {
         let eof = Span::empty(self.end_pos);
         let end_offset = self.end_pos.offset;
-        while let Some(open) = self.scratch.stack.pop() {
+        while let Some(open) = self.scratch.pop_open() {
             let silent =
                 self.config.heuristics && open.def.map(|d| d.end_tag_optional()).unwrap_or(true);
             if !silent {

@@ -5,9 +5,11 @@
 //! of a lower-cased `String`. Names in the static tables resolve to their
 //! [`Atom`] without allocating; names outside the tables (unknown elements
 //! and attributes, the rare case) fall back to a small per-document side
-//! intern. Comparing two `NameId`s is a `u32` compare, which is what makes
-//! stack matching and dedup allocation-free.
+//! intern, hashed so that a document full of distinct unknown names still
+//! interns each in O(1). Comparing two `NameId`s is a `u32` compare, which
+//! is what makes stack matching and dedup allocation-free.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use weblint_html::Atom;
@@ -38,51 +40,99 @@ impl NameId {
     }
 }
 
+/// One side-interned name: its lower-case spelling's range in
+/// [`NameTable::spellings`], and the next entry whose spelling hashes alike.
+#[derive(Debug, Clone, Copy)]
+struct Extra {
+    start: u32,
+    len: u32,
+    next: u32,
+}
+
+/// End of an [`Extra::next`] chain.
+const NO_NEXT: u32 = u32::MAX;
+
 /// The per-document name table: atoms plus a side intern for everything
 /// else. The side intern is cleared between documents; the fallback counter
 /// is cumulative across a session — it is the allocation canary, and stays
 /// at zero while every name a document uses is in the static tables.
+///
+/// The side intern maps the FNV-1a hash of a name's lower-cased bytes to
+/// the newest entry with that hash, and entries chain to older ones, so a
+/// lookup hashes the name as written and compares case-insensitively: a
+/// repeated unknown name resolves without allocating, whatever its case.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameTable {
-    extra: Vec<String>,
+    /// Lower-case spellings of the side-interned names, end to end.
+    spellings: String,
+    extra: Vec<Extra>,
+    by_hash: HashMap<u64, u32>,
     fallbacks: u64,
 }
 
 impl NameTable {
-    /// Intern `name` (any ASCII case). Allocation-free for table names.
+    /// Intern `name` (any ASCII case). Allocation-free for table names and
+    /// for repeats of a side-interned name.
     pub(crate) fn id(&mut self, name: &str) -> NameId {
         if let Some(atom) = Atom::from_ascii(name.as_bytes()) {
             return NameId::from_atom(atom);
         }
-        let pos = match self.extra.iter().position(|s| s.eq_ignore_ascii_case(name)) {
-            Some(pos) => pos,
-            None => {
-                self.fallbacks += 1;
-                self.extra.push(name.to_ascii_lowercase());
-                self.extra.len() - 1
+        let hash = fold_hash(name);
+        let head = self.by_hash.get(&hash).copied().unwrap_or(NO_NEXT);
+        let mut pos = head;
+        while pos != NO_NEXT {
+            let entry = self.extra[pos as usize];
+            if self.spelling(entry).eq_ignore_ascii_case(name) {
+                return NameId(Atom::count() as u32 + pos);
             }
-        };
-        NameId((Atom::count() + pos) as u32)
+            pos = entry.next;
+        }
+        self.fallbacks += 1;
+        let pos = self.extra.len() as u32;
+        let start = self.spellings.len() as u32;
+        self.spellings.push_str(name);
+        self.spellings[start as usize..].make_ascii_lowercase();
+        self.extra.push(Extra {
+            start,
+            len: self.spellings.len() as u32 - start,
+            next: head,
+        });
+        self.by_hash.insert(hash, pos);
+        NameId(Atom::count() as u32 + pos)
+    }
+
+    fn spelling(&self, entry: Extra) -> &str {
+        &self.spellings[entry.start as usize..(entry.start + entry.len) as usize]
     }
 
     /// The canonical lower-case spelling behind an id.
     pub(crate) fn resolve(&self, id: NameId) -> &str {
         match id.atom() {
             Some(atom) => atom.as_str(),
-            None => &self.extra[id.index() - Atom::count()],
+            None => self.spelling(self.extra[id.index() - Atom::count()]),
         }
     }
 
-    /// Drop the per-document side intern; ids from earlier documents become
-    /// invalid. The fallback counter survives.
+    /// Drop the per-document side intern, keeping its capacity; ids from
+    /// earlier documents become invalid. The fallback counter survives.
     pub(crate) fn clear(&mut self) {
+        self.spellings.clear();
         self.extra.clear();
+        self.by_hash.clear();
     }
 
     /// Cumulative count of names that missed the static atom table.
     pub(crate) fn fallbacks(&self) -> u64 {
         self.fallbacks
     }
+}
+
+/// FNV-1a over the ASCII-lower-cased bytes of `name`: equal for any two
+/// spellings that differ only in ASCII case.
+fn fold_hash(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Ids of the element names the engine special-cases, resolved from the
@@ -165,6 +215,33 @@ mod tests {
         // A second distinct unknown name gets its own id and fallback.
         let other = t.id("nosuchtag");
         assert_ne!(id, other);
+        assert_eq!(t.fallbacks(), 2);
+    }
+
+    #[test]
+    fn side_intern_resolves_many_names_in_any_case() {
+        let mut t = NameTable::default();
+        let ids: Vec<NameId> = (0..2000).map(|i| t.id(&format!("Xq{i}"))).collect();
+        assert_eq!(t.fallbacks(), 2000);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(t.id(&format!("XQ{i}")), id);
+            assert_eq!(t.resolve(id), format!("xq{i}"));
+        }
+        assert_eq!(t.fallbacks(), 2000, "repeats must not intern again");
+    }
+
+    #[test]
+    fn hash_collisions_keep_names_apart() {
+        // Force every name onto one chain: lookups must still compare the
+        // spelling, not trust the hash.
+        let mut t = NameTable::default();
+        let a = t.id("nosuch-a");
+        let pos = (a.index() - Atom::count()) as u32;
+        t.by_hash.insert(fold_hash("nosuch-b"), pos);
+        let b = t.id("nosuch-b");
+        assert_ne!(a, b);
+        assert_eq!(t.id("NOSUCH-A"), a);
+        assert_eq!(t.id("NoSuch-B"), b);
         assert_eq!(t.fallbacks(), 2);
     }
 

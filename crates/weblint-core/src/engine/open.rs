@@ -38,6 +38,13 @@ pub(crate) struct Open {
     /// (currently: an `obsolete-element` rename that must also rewrite the
     /// matching end tag), or [`NO_FIX`] when there is none.
     pub fix_diag: u32,
+    /// The lowest `fix_diag` of this entry and every entry below it on the
+    /// main stack. Set by [`super::Scratch::push_open`].
+    pub min_fix: u32,
+    /// Main-stack index of the next-outer open element with the same
+    /// name, so the innermost one can be found again after a pop. Set by
+    /// [`super::Scratch::push_open`].
+    pub prev_same: u32,
 }
 
 /// Sentinel for [`Open::fix_diag`]: no deferred fix.
@@ -88,6 +95,8 @@ mod tests {
             def: spec.element_any(name),
             has_content: false,
             fix_diag: NO_FIX,
+            min_fix: NO_FIX,
+            prev_same: 0,
         }
     }
 
@@ -128,6 +137,8 @@ mod tests {
             def: None,
             has_content: false,
             fix_diag: NO_FIX,
+            min_fix: NO_FIX,
+            prev_same: 0,
         };
         assert_eq!(o.orig(origs), "TITLE");
         assert_eq!(o.orig("short"), "", "out-of-range range resolves empty");

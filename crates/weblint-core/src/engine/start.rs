@@ -133,7 +133,7 @@ impl Checker<'_> {
         // Record the element in the history.
         self.scratch.record_seen(id, span.start.line);
         // A child element counts as content for `empty-container`.
-        if let Some(top) = self.scratch.stack.last_mut() {
+        if let Some(top) = self.scratch.top_mut() {
             top.has_content = true;
         }
 
@@ -150,7 +150,7 @@ impl Checker<'_> {
                 self.scratch.title_active = true;
             }
             let (orig_start, orig_len) = self.scratch.intern_orig(tag.name);
-            self.scratch.stack.push(Open {
+            self.scratch.push_open(Open {
                 id,
                 name_span: self.src.sub_span(span, tag.name),
                 orig_start,
@@ -159,6 +159,8 @@ impl Checker<'_> {
                 def,
                 has_content: false,
                 fix_diag,
+                min_fix: NO_FIX,
+                prev_same: 0,
             });
         }
     }
@@ -266,12 +268,25 @@ impl Checker<'_> {
 
     /// Find an active element within edit distance 2 — catches the paper's
     /// `<BLOCKQOUTE>` example.
+    ///
+    /// Two exact filters rule out most candidates before the distance is
+    /// computed: a length difference over 2, and character masks differing
+    /// in more than 4 bits (one edit adds or removes at most one character
+    /// of each set, so it flips at most two bits). Neither can drop a name
+    /// within distance 2, so the suggestion and its tie-breaks are those of
+    /// the full scan.
     fn suggest_element(&self, name_lc: &str) -> Option<String> {
         if name_lc.len() < 3 {
             return None;
         }
+        let len = name_lc.chars().count();
+        let mask = char_mask(name_lc);
         self.spec
             .active_elements()
+            .filter(|e| {
+                e.name.chars().count().abs_diff(len) <= 2
+                    && (char_mask(e.name) ^ mask).count_ones() <= 4
+            })
             .map(|e| (e.name, edit_distance(name_lc, e.name)))
             .filter(|&(_, d)| d <= 2)
             .min_by_key(|&(_, d)| d)
@@ -283,7 +298,7 @@ impl Checker<'_> {
     /// close `p`.
     fn apply_implied_closes(&mut self, def: &'static ElementDef, span: Span) {
         loop {
-            let closable = match self.scratch.stack.last() {
+            let closable = match self.scratch.top() {
                 Some(top) => {
                     def.implies_close_of(self.scratch.names.resolve(top.id))
                         && top.silently_closable()
@@ -293,7 +308,7 @@ impl Checker<'_> {
             if !closable {
                 break;
             }
-            let open = self.scratch.stack.pop().expect("stack top exists");
+            let open = self.scratch.pop_open().expect("stack top exists");
             self.close_bookkeeping(&open, span);
             self.scratch.release_orig(&open);
         }
@@ -314,7 +329,7 @@ impl Checker<'_> {
         let Some(contexts) = def.contexts else {
             return;
         };
-        let parent_ok = match self.scratch.stack.last() {
+        let parent_ok = match self.scratch.top() {
             Some(top) => contexts.contains(&self.scratch.names.resolve(top.id)),
             None => false,
         };
@@ -339,8 +354,8 @@ impl Checker<'_> {
         if !known().non_nestable.contains(&id) {
             return;
         }
-        let line = match self.scratch.stack.iter().rev().find(|o| o.id == id) {
-            Some(outer) => outer.line,
+        let line = match self.scratch.innermost(id) {
+            Some(outer) => self.scratch.open_at(outer).line,
             None => return,
         };
         self.emit(
@@ -421,8 +436,7 @@ impl Checker<'_> {
             }
         }
         self.last_heading = Some(level);
-        let a = known().a;
-        if self.scratch.stack.iter().any(|o| o.id == a) {
+        if self.scratch.innermost(known().a).is_some() {
             self.emit(
                 Rule::HeadingInAnchor,
                 span,
@@ -436,11 +450,11 @@ impl Checker<'_> {
     /// matters: weblint reports quote problems for a whole tag before value
     /// problems (see the §4.2 example output).
     fn check_attrs_lexical(&mut self, tag: &Tag<'_>, span: Span) {
-        self.scratch.attr_seen.clear();
+        self.scratch.begin_attrs();
         for attr in &tag.attrs {
             self.check_name_case(attr.name, attr.span, "attribute");
             let aid = self.scratch.names.id(attr.name);
-            if self.scratch.attr_seen.contains(&aid) {
+            if self.scratch.repeated_attr(aid) {
                 // Delete this whole repeated attribute (with the whitespace
                 // before it). Compute the end of what it wrote in the
                 // source; decline when quoting was mangled.
@@ -477,7 +491,6 @@ impl Checker<'_> {
                     },
                 );
             }
-            self.scratch.attr_seen.push(aid);
             match &attr.value {
                 None if attr.has_eq => {
                     self.emit(
@@ -791,6 +804,11 @@ fn value_needs_quotes(value: &str) -> bool {
         && !value
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'.')
+}
+
+/// The set of characters in `s`, folded into 64 bits by code point.
+fn char_mask(s: &str) -> u64 {
+    s.chars().fold(0, |mask, c| mask | 1 << (c as u32 % 64))
 }
 
 /// Truncate long source excerpts for messages.

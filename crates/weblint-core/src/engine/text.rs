@@ -17,14 +17,14 @@ impl Checker<'_> {
         if text.is_raw {
             // SCRIPT/STYLE content: not HTML, nothing to check, but it does
             // count as content.
-            if let Some(top) = self.scratch.stack.last_mut() {
+            if let Some(top) = self.scratch.top_mut() {
                 top.has_content = true;
             }
             return;
         }
         let significant = !text.raw.trim().is_empty();
         if significant {
-            if let Some(top) = self.scratch.stack.last_mut() {
+            if let Some(top) = self.scratch.top_mut() {
                 top.has_content = true;
             }
             let t0 = self.prof_start();
@@ -54,7 +54,7 @@ impl Checker<'_> {
     }
 
     fn check_text_context(&mut self, span: Span) {
-        let Some(top) = self.scratch.stack.last().copied() else {
+        let Some(top) = self.scratch.top().copied() else {
             return;
         };
         let no_text = top.def.map(|d| d.no_direct_text).unwrap_or(false);

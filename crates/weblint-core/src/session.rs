@@ -202,16 +202,10 @@ impl LintSession {
         // Hold back any diagnostic an element still on the stacks may yet
         // amend (a deferred obsolete-element rename attaches its fix when
         // the matching end tag arrives); everything earlier is final.
-        let safe = self
-            .scratch
-            .stack
-            .iter()
-            .chain(self.scratch.unresolved.iter())
-            .filter(|o| o.fix_diag != NO_FIX)
-            .map(|o| o.fix_diag as usize)
-            .min()
-            .unwrap_or(usize::MAX)
-            .min(state.doc.diags.len());
+        let safe = match self.scratch.lowest_pending_fix() {
+            NO_FIX => state.doc.diags.len(),
+            lowest => (lowest as usize).min(state.doc.diags.len()),
+        };
         let fresh = state.doc.diags[state.yielded..safe].to_vec();
         state.yielded = safe;
         fresh.into_iter()
@@ -410,22 +404,24 @@ mod tests {
 
     #[test]
     fn deferred_rename_fix_survives_chunk_boundaries() {
-        // <XMP> is obsolete with a mechanical replacement: the fix attaches
-        // to the open tag's diagnostic only when </XMP> arrives, so the
-        // stream must hold that diagnostic back across feeds.
-        let doc = "<XMP>code</XMP>";
+        // <XMP> and <DIR> are obsolete with a mechanical replacement: the
+        // fix attaches to the open tag's diagnostic only when the end tag
+        // arrives, so the stream must hold that diagnostic back across
+        // feeds — also while other elements are open above it.
         let mut config = LintConfig::default();
         config.fragment = true;
         config.emit_fixes = true;
         let mut session = LintSession::with_config(config);
-        let expected = session.check_string(doc);
-        assert!(
-            expected.iter().any(|d| d.fix.is_some()),
-            "expected a rename fix: {expected:?}"
-        );
-        for at in 0..=doc.len() {
-            let streamed = stream_at_split(&mut session, doc, at);
-            assert_eq!(streamed, expected, "split at {at}");
+        for doc in ["<XMP>code</XMP>", "<DIR><LI>one<LI><B>two</B></DIR><P>x"] {
+            let expected = session.check_string(doc);
+            assert!(
+                expected.iter().any(|d| d.fix.is_some()),
+                "expected a rename fix: {expected:?}"
+            );
+            for at in 0..=doc.len() {
+                let streamed = stream_at_split(&mut session, doc, at);
+                assert_eq!(streamed, expected, "{doc:?} split at {at}");
+            }
         }
     }
 

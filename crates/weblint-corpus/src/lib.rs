@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adversarial;
 mod defect;
 mod gen;
 mod mega;

@@ -121,7 +121,7 @@ impl<'a> Cursor<'a> {
     /// Find the next occurrence of `needle` case-insensitively in the
     /// remaining input; returns byte index relative to [`Cursor::rest`].
     pub(crate) fn find_ci(&self, needle: &str) -> Option<usize> {
-        find_ci(self.rest(), needle)
+        find_ci(self.rest().as_bytes(), needle)
     }
 
     /// Consume everything to end-of-file; return it.
@@ -133,15 +133,14 @@ impl<'a> Cursor<'a> {
 }
 
 /// Case-insensitive substring search (ASCII case only).
-pub(crate) fn find_ci(haystack: &str, needle: &str) -> Option<usize> {
+pub(crate) fn find_ci(hay: &[u8], needle: &str) -> Option<usize> {
     if needle.is_empty() {
         return Some(0);
     }
     let n = needle.len();
-    if haystack.len() < n {
+    if hay.len() < n {
         return None;
     }
-    let hay = haystack.as_bytes();
     let pat = needle.as_bytes();
     let first = pat[0];
     // Compare as bytes throughout: a candidate index may fall inside a
@@ -251,10 +250,10 @@ mod tests {
 
     #[test]
     fn find_ci_finds_mixed_case() {
-        assert_eq!(find_ci("xx</ScRiPt>", "</script"), Some(2));
-        assert_eq!(find_ci("nothing here", "</script"), None);
-        assert_eq!(find_ci("abc", ""), Some(0));
-        assert_eq!(find_ci("ab", "abc"), None);
+        assert_eq!(find_ci(b"xx</ScRiPt>", "</script"), Some(2));
+        assert_eq!(find_ci(b"nothing here", "</script"), None);
+        assert_eq!(find_ci(b"abc", ""), Some(0));
+        assert_eq!(find_ci(b"ab", "abc"), None);
     }
 
     #[test]
@@ -262,8 +261,11 @@ mod tests {
         // Regression: candidate offsets can fall inside multibyte
         // characters; the comparison must stay byte-wise.
         let hay = "鄨Q\u{202e}x</script>";
-        assert_eq!(find_ci(hay, "</script"), Some("鄨Q\u{202e}x".len()));
-        assert_eq!(find_ci("é鄨\u{202e}", "</script"), None);
+        assert_eq!(
+            find_ci(hay.as_bytes(), "</script"),
+            Some("鄨Q\u{202e}x".len())
+        );
+        assert_eq!(find_ci("é鄨\u{202e}".as_bytes(), "</script"), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! spans included, is byte-identical to tokenizing the concatenated
 //! document in one shot.
 //!
-//! Three pieces of state cross a feed boundary:
+//! Four pieces of state cross a feed boundary:
 //!
 //! 1. **The undecoded tail** — up to three bytes of an incomplete UTF-8
 //!    sequence, held back so the lossy decode matches
@@ -18,6 +18,16 @@
 //!    spans rebase onto document coordinates.
 //! 3. **The tokenizer mode flags** — the pending raw-text close pattern
 //!    (`</script` …) and the `PLAINTEXT` latch.
+//! 4. **The pending token's stability scan** — how far the check for its
+//!    terminator has got, and in what state: the text run's `<` search,
+//!    the raw-text close-pattern search (resumed `close.len() - 1` bytes
+//!    back so a pattern split by the feed boundary is still found), the
+//!    comment `-->` and CDATA `]]>` searches, a declaration's quote-aware
+//!    walk, and a tag's name and quote-aware body walk (position, open
+//!    quote, where it opened, and the quote-parity fallback waiting for
+//!    `>`). A drain resumes it over the new bytes only, so a token that
+//!    stays unterminated across many feeds is scanned once, not once per
+//!    feed.
 //!
 //! Consumed prefixes are compacted away, so memory is bounded by the
 //! largest single token, not the document.
@@ -26,7 +36,7 @@
 
 use crate::pos::{Pos, Span};
 use crate::token::{Token, TokenKind};
-use crate::tokenizer::{Step, Tokenizer};
+use crate::tokenizer::{Carry, Step, Tokenizer};
 
 /// Compact the buffer only once this many consumed bytes have piled up (and
 /// they are at least half the buffer), so steady chunked feeding does not
@@ -66,17 +76,11 @@ pub struct StreamTokenizer {
     /// Undecoded tail: a so-far-valid prefix of one UTF-8 character cut off
     /// by the chunk boundary (at most 3 bytes).
     pending: Vec<u8>,
-    /// Carried [`Tokenizer::mode`] flags.
-    raw_text_until: Option<&'static str>,
-    plaintext: bool,
+    /// Carried tokenizer state: the mode flags and the pending token's
+    /// stability scan, whose offsets count from `buf[consumed]`.
+    carry: Carry,
     /// `finish` was called: the next drain treats the buffer end as EOF.
     eof: bool,
-    /// Length of the unconsumed suffix's prefix already known to contain
-    /// no `<`. A text run (or raw-text body) can only terminate at a `<`,
-    /// so while none has arrived, a drain has nothing to do — without
-    /// this watermark, every feed of a long text run would re-scan the
-    /// whole carry, turning a streamed `<PRE>` dump quadratic.
-    text_scan: usize,
 }
 
 impl StreamTokenizer {
@@ -152,28 +156,10 @@ impl StreamTokenizer {
     /// slice's first byte — enough to resolve any span the token carries via
     /// `&slice[span.start.offset - slice_offset..]`.
     pub fn drain_tokens<F: FnMut(Token<'_>, &str, usize)>(&mut self, mut f: F) {
-        if !self.eof {
-            // `<PLAINTEXT>` swallows the rest of the document as one
-            // token; nothing can stabilize until finish.
-            if self.plaintext {
-                return;
-            }
-            // Every token terminator in both remaining modes begins with
-            // `<` (the next tag for text, the close pattern for raw
-            // text). No `<` in the suffix means no token can complete:
-            // skip the resume and remember how far we looked.
-            let suffix = &self.buf.as_bytes()[self.consumed..];
-            let scanned = self.text_scan.min(suffix.len());
-            if !suffix[scanned..].contains(&b'<') {
-                self.text_scan = suffix.len();
-                return;
-            }
-            self.text_scan = 0;
-        }
         self.compact();
         let slice = &self.buf[self.consumed..];
         let base = self.base;
-        let mut tok = Tokenizer::resume(slice, self.raw_text_until, self.plaintext);
+        let mut tok = Tokenizer::resume(slice, self.carry);
         let mut advanced = 0usize;
         let mut end = base;
         while let Step::Token(mut t) = tok.step(self.eof) {
@@ -182,9 +168,7 @@ impl StreamTokenizer {
             end = t.span.end;
             f(t, slice, base.offset);
         }
-        let (raw_text_until, plaintext) = tok.mode();
-        self.raw_text_until = raw_text_until;
-        self.plaintext = plaintext;
+        self.carry = tok.carry();
         self.consumed += advanced;
         self.base = end;
     }
@@ -256,20 +240,39 @@ fn rebase_token(token: &mut Token<'_>, base: Pos) {
 mod tests {
     use super::*;
     use crate::tokenize;
+    use crate::tokenizer::QUOTE_SCAN_CAP;
 
     /// Render a token to a form that captures everything the engine ever
     /// looks at: kind, span, attribute spans, text content and flags. Debug
     /// output prints slice *contents*, so streamed and one-shot tokens
     /// compare equal iff they are byte-identical.
+    ///
+    /// Before `finish`, the stream must also have released exactly as many
+    /// tokens as one feed of the whole input releases: a scan carried
+    /// across feeds has to reach the verdict a fresh scan of the same bytes
+    /// reaches, neither committing to a token early nor holding back one
+    /// it could already emit.
     fn render_all(src: &[u8], chunks: &[&[u8]]) -> (Vec<String>, Vec<String>) {
         let text = String::from_utf8_lossy(src);
         let one_shot: Vec<String> = tokenize(&text).iter().map(|t| format!("{t:?}")).collect();
+        let drain_before_finish = |chunks: &[&[u8]], out: &mut Vec<String>| {
+            let mut stream = StreamTokenizer::new();
+            for chunk in chunks {
+                stream.feed(chunk);
+                stream.drain_tokens(|t, _, _| out.push(format!("{t:?}")));
+            }
+            stream
+        };
+        let mut whole = Vec::new();
+        drain_before_finish(&[src], &mut whole);
         let mut streamed = Vec::new();
-        let mut stream = StreamTokenizer::new();
-        for chunk in chunks {
-            stream.feed(chunk);
-            stream.drain_tokens(|t, _, _| streamed.push(format!("{t:?}")));
-        }
+        let mut stream = drain_before_finish(chunks, &mut streamed);
+        assert_eq!(
+            streamed.len(),
+            whole.len(),
+            "tokens released before finish, chunks {:?}",
+            chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
+        );
         stream.finish();
         stream.drain_tokens(|t, _, _| streamed.push(format!("{t:?}")));
         (one_shot, streamed)
@@ -337,6 +340,137 @@ mod tests {
         ];
         for doc in docs {
             assert_split_equivalence(doc);
+        }
+    }
+
+    /// Documents whose tokens stay pending across many feeds, so the
+    /// carried stability scan resumes mid-construct at every split.
+    fn carry_heavy_documents() -> Vec<String> {
+        let filler = "lorem ipsum dolor\n".repeat(12);
+        let attrs: String = (0..120)
+            .map(|i| match i % 4 {
+                0 => format!(" A{i}=\"v>{i}\""),
+                1 => format!(" B{i}='q\"{i}'"),
+                2 => format!(" C{i}=plain{i}"),
+                _ => format!("\nD{i}"),
+            })
+            .collect();
+        vec![
+            format!("<P><!-- one -- two {filler} -- three --->x<!-- a -- > b -->y<B>z</B>"),
+            format!("<SCRIPT>if (a < b) {{ s = \"</scr\" + \"ipt>\"; }}\n{filler}</ScRiPt >after"),
+            format!("<STYLE>{filler}</STYLE\n>after</STYLE>"),
+            format!("<![CDATA[ {filler} ]] ]> ]]>x<![cdata[ y ]]>"),
+            format!("<!DOCTYPE HTML PUBLIC \"-//W3C//DTD {filler}\" '>' >x<? pi \"?>\" ?>"),
+            format!("<IMG SRC=\"a.gif\"{attrs}>after"),
+            format!("</ {filler}B  >x</A\nHREF=\"{filler}\">"),
+            format!("<A HREF=\"a.html>{filler}<B>x</B></A>"),
+            format!("<A HREF=\"x>y {filler}< more"),
+            format!("text {filler} i < 3 and <"),
+        ]
+    }
+
+    #[test]
+    fn carry_heavy_documents_match_one_shot_at_every_split() {
+        for doc in carry_heavy_documents() {
+            assert_split_equivalence(doc.as_bytes());
+        }
+    }
+
+    #[test]
+    fn quote_past_the_scan_cap_matches_one_shot() {
+        // A quoted value longer than QUOTE_SCAN_CAP with a `<` inside:
+        // the quote-aware walk aborts and the parity fallback waits for a
+        // `>`, which may sit before the abort point inside the quote.
+        let long = "v".repeat(QUOTE_SCAN_CAP + 100);
+        let docs = [
+            format!("<A HREF=\"{long}<B>x</B>\">after"),
+            format!("<A HREF=\"x>y{long}< more"),
+            format!("<A TITLE='{long}' HREF=\"z\">after"),
+        ];
+        for doc in &docs {
+            let src = doc.as_bytes();
+            // Every split near the constructs that decide the verdict
+            // (tag start, quote-cap crossing, `<`, `>`), then whole-stream
+            // chunkings down to single bytes.
+            let cap = 9 + QUOTE_SCAN_CAP;
+            let marks = [
+                0,
+                cap,
+                doc.find('<').unwrap(),
+                doc.rfind('<').unwrap(),
+                doc.rfind('>').unwrap(),
+            ];
+            for mark in marks {
+                for cut in mark.saturating_sub(40)..(mark + 40).min(src.len()) {
+                    let (one_shot, streamed) = render_all(src, &[&src[..cut], &src[cut..]]);
+                    assert_eq!(one_shot, streamed, "split at {cut}");
+                }
+            }
+            for size in [1, 7, 512, 4096] {
+                let chunks: Vec<&[u8]> = src.chunks(size).collect();
+                let (one_shot, streamed) = render_all(src, &chunks);
+                assert_eq!(one_shot, streamed, "{size}-byte chunks");
+            }
+        }
+    }
+
+    #[test]
+    fn tokens_are_released_as_soon_as_their_end_arrives() {
+        // (document, tokens a stream must release before `finish`), at
+        // every split: the carried scan may neither wait past a token's
+        // terminator nor commit before it.
+        let cases: &[(&[u8], usize)] = &[
+            (b"<P>text<BR>", 3),
+            (b"<SCRIPT>a</scr" as &[u8], 1),
+            (b"<SCRIPT>a</script>b", 3),
+            (b"<!-- a -- b -->c", 1),
+            (b"<!-- a > b", 0),
+            (b"<![CDATA[ x ]] ]]>y", 1),
+            (b"<!DOCTYPE \"q>\" >z", 1),
+            (b"</ HEAD >x", 1),
+            (b"<IMG ALT=\"a>b\" SRC=x>y", 1),
+            // The quote-parity fallback cuts at a `>` inside the
+            // abandoned quote.
+            (b"<A HREF=\"x>y <B more", 2),
+            (b"<A HREF=\"x <B more", 0),
+        ];
+        for &(doc, expected) in cases {
+            let mut splits: Vec<Vec<&[u8]>> = (0..=doc.len())
+                .map(|cut| vec![&doc[..cut], &doc[cut..]])
+                .collect();
+            splits.push(doc.chunks(1).collect());
+            for chunks in splits {
+                let mut stream = StreamTokenizer::new();
+                let mut released = 0;
+                for chunk in &chunks {
+                    stream.feed(chunk);
+                    stream.drain_tokens(|_, _, _| released += 1);
+                }
+                assert_eq!(
+                    released,
+                    expected,
+                    "{:?} fed as {:?}",
+                    String::from_utf8_lossy(doc),
+                    chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ambiguous_openers_wait_for_their_class() {
+        // `<!-` may yet become a comment and `<![CDA` a CDATA section:
+        // neither may commit to a declaration scan early.
+        for doc in [
+            &b"<!-- a > b -->x"[..],
+            b"<!-x>y",
+            b"<![CDATA[ > ]]>z",
+            b"<![CDAX>w",
+        ] {
+            for cut in 0..=doc.len() {
+                let (one_shot, streamed) = render_all(doc, &[&doc[..cut], &doc[cut..]]);
+                assert_eq!(one_shot, streamed, "split at {cut}");
+            }
         }
     }
 

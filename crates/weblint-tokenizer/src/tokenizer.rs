@@ -20,7 +20,7 @@ const RAW_TEXT_ELEMENTS: &[(&str, &str)] = &[
 /// Abort the quote-aware tag scan once a single quoted value exceeds this
 /// many bytes — at that point the quote is almost certainly unterminated and
 /// the quote-parity fallback produces far better diagnostics.
-const QUOTE_SCAN_CAP: usize = 32 * 1024;
+pub(crate) const QUOTE_SCAN_CAP: usize = 32 * 1024;
 
 /// One move of an incremental tokenization — what [`Tokenizer::step`]
 /// returns when the source may still be growing.
@@ -64,34 +64,89 @@ pub struct Tokenizer<'a> {
     raw_text_until: Option<&'static str>,
     /// A `PLAINTEXT` start tag was seen: the rest of the file is text.
     plaintext: bool,
+    /// How far the prefix-stability check of the next token has got (see
+    /// [`Tokenizer::step`]); reset whenever a token is produced.
+    scan: Scan,
+}
+
+/// Everything besides the unconsumed bytes that a resumed tokenizer needs
+/// to continue exactly where an earlier one stopped: the mode flags and the
+/// stability scan of the pending token. [`crate::StreamTokenizer`] carries
+/// one across feeds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Carry {
+    pub(crate) raw_text_until: Option<&'static str>,
+    pub(crate) plaintext: bool,
+    pub(crate) scan: Scan,
+}
+
+/// Where the prefix-stability scan of the next token stopped.
+///
+/// The check behind [`Tokenizer::step`] is an explicit state machine so an
+/// unterminated token that spans many feeds is walked once in total rather
+/// than once per feed: a `false` verdict records the state, and the next
+/// check resumes from it over the bytes appended since. Offsets count from
+/// the pending token's first byte, which stays put while the token is
+/// incomplete.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Scan {
+    /// Nothing decided yet, or too few bytes to tell which kind of token
+    /// comes next (`<`, `<!-`, `<![CDA`…).
+    #[default]
+    Start,
+    /// A text run with no markup-starting `<` before `at`.
+    Text { at: usize },
+    /// Raw-text content; the close pattern cannot start before `at`.
+    RawText { at: usize },
+    /// A comment body; `-->` cannot start before `at`.
+    Comment { at: usize },
+    /// A CDATA marked section; `]]>` cannot start before `at`.
+    Cdata { at: usize },
+    /// A declaration or processing instruction, walked quote-aware to `at`.
+    Decl { at: usize, quote: Option<u8> },
+    /// An end tag's optional whitespace after `</`, skipped up to `at`.
+    TagSpace { at: usize },
+    /// A tag name, read up to `at`.
+    TagName { at: usize },
+    /// A tag body starting at `body`, walked quote-aware to `at`;
+    /// `quote_start` is where the open quote (if any) began.
+    TagBody {
+        body: usize,
+        at: usize,
+        quote: Option<u8>,
+        quote_start: usize,
+    },
+    /// The quote-aware tag walk aborted, so the quote-parity fallback cuts
+    /// the tag at its first `>`: none occurs before `at`.
+    AwaitGt { at: usize },
 }
 
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `src`.
     pub fn new(src: &'a str) -> Tokenizer<'a> {
-        Tokenizer {
-            cur: Cursor::new(src),
-            raw_text_until: None,
-            plaintext: false,
-        }
+        Tokenizer::resume(src, Carry::default())
     }
 
     /// Create a tokenizer over `src` that resumes mid-document: `src` is a
-    /// suffix of some larger document and the mode flags were captured (via
-    /// [`Tokenizer::mode`]) from the tokenizer that consumed the prefix.
-    pub fn resume(src: &'a str, raw_text_until: Option<&'static str>, plaintext: bool) -> Self {
+    /// suffix of some larger document, and `carry` was captured (via
+    /// [`Tokenizer::carry`]) from the tokenizer that consumed the prefix,
+    /// possibly over a shorter buffer that ended inside the pending token.
+    pub(crate) fn resume(src: &'a str, carry: Carry) -> Self {
         Tokenizer {
             cur: Cursor::new(src),
-            raw_text_until,
-            plaintext,
+            raw_text_until: carry.raw_text_until,
+            plaintext: carry.plaintext,
+            scan: carry.scan,
         }
     }
 
-    /// The cross-token mode flags — everything (besides the cursor) that a
-    /// resumed tokenizer needs to continue where this one stopped: the
-    /// pending raw-text close pattern and the `PLAINTEXT` latch.
-    pub fn mode(&self) -> (Option<&'static str>, bool) {
-        (self.raw_text_until, self.plaintext)
+    /// The state a resumed tokenizer needs besides the unconsumed bytes.
+    pub(crate) fn carry(&self) -> Carry {
+        Carry {
+            raw_text_until: self.raw_text_until,
+            plaintext: self.plaintext,
+            scan: self.scan,
+        }
     }
 
     /// The full source this tokenizer reads from.
@@ -107,7 +162,8 @@ impl<'a> Tokenizer<'a> {
     /// change it. A scan that terminates on a delimiter found *inside* the
     /// buffer (a closing `>`, a `-->`, a markup-starting `<`) is stable; a
     /// scan that ran to the end of the buffer is not, and yields
-    /// [`Step::NeedMore`] without consuming anything.
+    /// [`Step::NeedMore`] without consuming anything. The scan's progress is
+    /// kept, so a retry over a longer buffer only examines the new bytes.
     ///
     /// `step(true)` is exactly the [`Iterator`] implementation.
     pub fn step(&mut self, eof: bool) -> Step<'a> {
@@ -117,6 +173,7 @@ impl<'a> Tokenizer<'a> {
         if !eof && !self.next_token_stable() {
             return Step::NeedMore;
         }
+        self.scan = Scan::Start;
         match self.next_token() {
             Some(tok) => Step::Token(tok),
             None => Step::Done,
@@ -124,37 +181,17 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Whether the next token's extent and kind are already fully determined
-    /// by the bytes in the buffer (see [`Tokenizer::step`]). Read-only: a
-    /// `false` answer must leave the tokenizer untouched for the retry.
-    fn next_token_stable(&self) -> bool {
-        let rest = self.cur.rest();
-        if self.plaintext {
-            // PLAINTEXT swallows everything to end-of-file.
-            return false;
-        }
-        if let Some(close) = self.raw_text_until {
-            // Raw text runs to the close pattern; finding it in the buffer
-            // pins the text token (an earlier match can never appear). A
-            // match at offset 0 means the end tag parses next instead.
-            return match crate::cursor::find_ci(rest, close) {
-                Some(0) => tag_stable(rest),
-                Some(_) => true,
-                None => false,
-            };
-        }
-        let bytes = rest.as_bytes();
-        match (bytes.first(), bytes.get(1)) {
-            (Some(b'<'), Some(b'!')) => markup_decl_stable(rest),
-            (Some(b'<'), Some(b'?')) => decl_stable(&rest[2..]),
-            (Some(b'<'), Some(b'/')) => tag_stable(rest),
-            (Some(b'<'), Some(c)) if c.is_ascii_alphabetic() => tag_stable(rest),
-            // A `<` as the buffer's last byte: could become any markup class.
-            (Some(b'<'), None) => false,
-            // Bare `<` followed by a non-markup byte, or any other first
-            // byte: a text run.
-            (Some(_), _) => text_stable(rest),
-            (None, _) => false,
-        }
+    /// by the bytes in the buffer (see [`Tokenizer::step`]). Consumes
+    /// nothing; a `false` answer only records in `self.scan` how far the
+    /// check got.
+    fn next_token_stable(&mut self) -> bool {
+        // PLAINTEXT swallows everything to end-of-file.
+        !self.plaintext
+            && advance_scan(
+                self.cur.rest().as_bytes(),
+                self.raw_text_until,
+                &mut self.scan,
+            )
     }
 
     fn token(&self, start: crate::pos::Pos, kind: TokenKind<'a>) -> Token<'a> {
@@ -483,121 +520,227 @@ impl<'a> Iterator for Tokenizer<'a> {
     }
 }
 
-/// Stability of a text run: [`Tokenizer::scan_text`] ends only at a `<` that
-/// begins markup, so the run is pinned once such a `<` is in the buffer. A
-/// run that consumed to the buffer's end (no `<`, a trailing bare `<`, or
-/// only non-markup `<`s) could still grow.
-fn text_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while let Some(k) = crate::cursor::memchr(b'<', &bytes[i..]) {
-        let at = i + k;
-        match bytes.get(at + 1) {
-            Some(&n) if n.is_ascii_alphabetic() || n == b'!' || n == b'?' || n == b'/' => {
-                return true
-            }
-            Some(_) => i = at + 1,
-            None => return false,
-        }
-    }
-    false
-}
-
-/// Stability of a `<!…>` markup declaration. Classification between comment,
-/// DOCTYPE and other declarations is itself buffer-dependent, but every
-/// ambiguous spelling (a proper prefix of `<!--` or `<!doctype`) contains no
-/// terminator, so the per-class terminator checks below already refuse it.
-fn markup_decl_stable(rest: &str) -> bool {
-    if let Some(after_opener) = rest.strip_prefix("<!--") {
-        // A comment ends at `-->`, searched past the 4-byte opener.
-        return after_opener.contains("-->");
-    }
-    decl_stable(&rest[2..])
-}
-
-/// Stability of a declaration/PI body (`after` starts past the `<!`/`<?`
-/// opener): CDATA sections are pinned by `]]>`, everything else by a
-/// quote-aware `>`. A walk that ends inside the buffer — or inside an open
-/// quote — is not stable; a later byte could close the quote and move the
-/// real terminator.
-fn decl_stable(after: &str) -> bool {
-    // Byte-wise prefix compare: slicing the str at 7 could split a
-    // multibyte character.
-    let bytes = after.as_bytes();
-    if bytes.len() >= 7 && bytes[..7].eq_ignore_ascii_case(b"[CDATA[") {
-        return after[7..].contains("]]>");
-    }
-    let mut in_quote: Option<u8> = None;
-    for &b in after.as_bytes() {
-        match in_quote {
-            None => match b {
-                b'>' => return true,
-                b'"' | b'\'' => in_quote = Some(b),
-                _ => {}
-            },
-            Some(q) if b == q => in_quote = None,
-            Some(_) => {}
-        }
-    }
-    false
-}
-
-/// Stability of a start or end tag (`rest` starts at the `<`). The name must
-/// terminate inside the buffer (a name running to the buffer's end could
-/// continue), then the body must reach a stable verdict under the same
-/// quote-aware rules as [`scan_tag_body`].
-fn tag_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut i = 1; // '<'
-    if bytes.get(1) == Some(&b'/') {
-        i = 2;
-        // End tags tolerate whitespace before the name (`</ HEAD>`).
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-    }
-    while i < bytes.len() && is_name_byte(bytes[i]) {
-        i += 1;
-    }
-    if i == bytes.len() {
-        return false;
-    }
-    tag_body_stable(&rest[i..])
-}
-
-/// Stability of a tag body, mirroring [`scan_tag_body`]: a quote-aware `>`
-/// or an unquoted `<` in the buffer pins the tag. An abort (a `<` inside a
-/// quote, or a quote run past [`QUOTE_SCAN_CAP`]) is itself stable and falls
-/// to the quote-parity heuristic, which cuts at the first `>` anywhere — so
-/// it is stable only once some `>` is in the buffer. Running off the end of
-/// the buffer (in or out of a quote) is never stable.
-fn tag_body_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut in_quote: Option<u8> = None;
-    let mut quote_start = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match in_quote {
-            None => match b {
-                b'>' | b'<' => return true,
-                b'"' | b'\'' => {
-                    in_quote = Some(b);
-                    quote_start = i;
+/// Advance the stability scan of the token at the start of `rest` (see
+/// [`Scan`]), resuming from `scan`, and report whether the token's extent is
+/// already pinned. Each terminator test mirrors the scanner it guards:
+///
+/// - a text run ([`Tokenizer::scan_text`]) ends only at a `<` that begins
+///   markup, so it is pinned once such a `<` is in the buffer;
+/// - raw text ends at its close pattern, whose earliest match can only move
+///   if it is incomplete, so the search resumes `close.len() - 1` bytes
+///   before the buffer end; a match at offset 0 means the end tag parses
+///   next instead;
+/// - comments end at `-->`, CDATA sections at `]]>`, other declarations and
+///   processing instructions at a quote-aware `>`;
+/// - a tag's name must end inside the buffer, then its body is walked under
+///   the same quote-aware rules as [`scan_tag_body`]: a `>` or `<` outside
+///   quotes pins it. An abort (a `<` inside a quote, or a quote run past
+///   [`QUOTE_SCAN_CAP`]) falls to the quote-parity heuristic, which cuts at
+///   the body's first `>` anywhere, so it is pinned once some `>` is in the
+///   buffer.
+///
+/// Running off the end of the buffer is never stable. Spellings that could
+/// still turn into another kind of token (a proper prefix of `<!--` or of
+/// `<![CDATA[`) hold the scan at [`Scan::Start`]; none of them contains a
+/// terminator, so waiting costs a few bytes at most.
+fn advance_scan(rest: &[u8], raw_text_until: Option<&'static str>, scan: &mut Scan) -> bool {
+    let len = rest.len();
+    loop {
+        match *scan {
+            Scan::Start => {
+                if raw_text_until.is_some() {
+                    *scan = Scan::RawText { at: 0 };
+                    continue;
                 }
-                _ => {}
-            },
-            Some(q) => {
-                if b == q {
-                    in_quote = None;
-                } else if b == b'<' || ((b & 0xC0) != 0x80 && i - quote_start > QUOTE_SCAN_CAP) {
-                    return rest.contains('>');
+                *scan = match (rest.first(), rest.get(1)) {
+                    (Some(b'<'), Some(b'!')) if rest.starts_with(b"<!--") => {
+                        Scan::Comment { at: 4 }
+                    }
+                    (Some(b'<'), Some(b'!')) if len < 4 && b"<!--".starts_with(rest) => {
+                        return false
+                    }
+                    (Some(b'<'), Some(b'!' | b'?')) => {
+                        const CDATA: &[u8] = b"[CDATA[";
+                        let after = &rest[2..];
+                        if after.len() >= CDATA.len() && after[..7].eq_ignore_ascii_case(CDATA) {
+                            Scan::Cdata {
+                                at: 2 + CDATA.len(),
+                            }
+                        } else if after.len() < CDATA.len()
+                            && after.eq_ignore_ascii_case(&CDATA[..after.len()])
+                        {
+                            return false;
+                        } else {
+                            Scan::Decl { at: 2, quote: None }
+                        }
+                    }
+                    (Some(b'<'), Some(b'/')) => Scan::TagSpace { at: 2 },
+                    (Some(b'<'), Some(c)) if c.is_ascii_alphabetic() => Scan::TagName { at: 1 },
+                    // A `<` as the buffer's last byte: could become any
+                    // markup class.
+                    (Some(b'<'), None) | (None, _) => return false,
+                    // Bare `<` followed by a non-markup byte, or any other
+                    // first byte: a text run.
+                    (Some(_), _) => Scan::Text { at: 0 },
+                };
+            }
+            Scan::Text { mut at } => {
+                while let Some(k) = crate::cursor::memchr(b'<', &rest[at..]) {
+                    let lt = at + k;
+                    match rest.get(lt + 1) {
+                        Some(&n) if n.is_ascii_alphabetic() || matches!(n, b'!' | b'?' | b'/') => {
+                            return true
+                        }
+                        Some(_) => at = lt + 1,
+                        // A trailing `<`: the next byte decides.
+                        None => {
+                            *scan = Scan::Text { at: lt };
+                            return false;
+                        }
+                    }
+                }
+                *scan = Scan::Text { at: len };
+                return false;
+            }
+            Scan::RawText { at } => {
+                let Some(close) = raw_text_until else {
+                    *scan = Scan::Start;
+                    continue;
+                };
+                match find_from(rest, at, close) {
+                    // The close pattern starts the buffer: no content, the
+                    // end tag itself comes next.
+                    Ok(0) => *scan = Scan::TagSpace { at: 2 },
+                    Ok(_) => return true,
+                    Err(at) => {
+                        *scan = Scan::RawText { at };
+                        return false;
+                    }
                 }
             }
+            Scan::Comment { at } => match find_from(rest, at, "-->") {
+                Ok(_) => return true,
+                Err(at) => {
+                    *scan = Scan::Comment { at };
+                    return false;
+                }
+            },
+            Scan::Cdata { at } => match find_from(rest, at, "]]>") {
+                Ok(_) => return true,
+                Err(at) => {
+                    *scan = Scan::Cdata { at };
+                    return false;
+                }
+            },
+            Scan::Decl { mut at, mut quote } => {
+                while at < len {
+                    let b = rest[at];
+                    match quote {
+                        None => match b {
+                            b'>' => return true,
+                            b'"' | b'\'' => quote = Some(b),
+                            _ => {}
+                        },
+                        Some(q) if b == q => quote = None,
+                        Some(_) => {}
+                    }
+                    at += 1;
+                }
+                *scan = Scan::Decl { at, quote };
+                return false;
+            }
+            Scan::TagSpace { mut at } => {
+                // End tags tolerate whitespace before the name (`</ HEAD>`).
+                while at < len && rest[at].is_ascii_whitespace() {
+                    at += 1;
+                }
+                if at == len {
+                    *scan = Scan::TagSpace { at };
+                    return false;
+                }
+                *scan = Scan::TagName { at };
+            }
+            Scan::TagName { mut at } => {
+                while at < len && is_name_byte(rest[at]) {
+                    at += 1;
+                }
+                // A name running to the buffer's end could continue.
+                if at == len {
+                    *scan = Scan::TagName { at };
+                    return false;
+                }
+                *scan = Scan::TagBody {
+                    body: at,
+                    at,
+                    quote: None,
+                    quote_start: 0,
+                };
+            }
+            Scan::TagBody {
+                body,
+                mut at,
+                mut quote,
+                mut quote_start,
+            } => {
+                let mut aborted = false;
+                while at < len {
+                    let b = rest[at];
+                    match quote {
+                        None => match b {
+                            b'>' | b'<' => return true,
+                            b'"' | b'\'' => {
+                                quote = Some(b);
+                                quote_start = at;
+                            }
+                            _ => {}
+                        },
+                        Some(q) => {
+                            if b == q {
+                                quote = None;
+                            } else if b == b'<'
+                                || ((b & 0xC0) != 0x80 && at - quote_start > QUOTE_SCAN_CAP)
+                            {
+                                aborted = true;
+                                break;
+                            }
+                        }
+                    }
+                    at += 1;
+                }
+                if aborted {
+                    // The fallback's `>` may sit anywhere in the body,
+                    // inside the abandoned quote included.
+                    *scan = Scan::AwaitGt { at: body };
+                    continue;
+                }
+                *scan = Scan::TagBody {
+                    body,
+                    at,
+                    quote,
+                    quote_start,
+                };
+                return false;
+            }
+            Scan::AwaitGt { at } => match crate::cursor::memchr(b'>', &rest[at..]) {
+                Some(_) => return true,
+                None => {
+                    *scan = Scan::AwaitGt { at: len };
+                    return false;
+                }
+            },
         }
-        i += 1;
     }
-    false
+}
+
+/// Search `rest` from `at` for `needle` (ASCII case-insensitively): the
+/// offset of the first match, or on a miss the offset to resume from once
+/// more bytes arrive — far enough back to catch a match split across the
+/// buffer end.
+fn find_from(rest: &[u8], at: usize, needle: &str) -> Result<usize, usize> {
+    match crate::cursor::find_ci(&rest[at..], needle) {
+        Some(k) => Ok(at + k),
+        None => Err(at.max((rest.len() + 1).saturating_sub(needle.len()))),
+    }
 }
 
 fn is_name_byte(b: u8) -> bool {

@@ -238,3 +238,102 @@ fn rendered_reports_match_byte_for_byte() {
         );
     }
 }
+
+/// Lint-level twins of the tokenizer's carry tests: documents whose
+/// tokens stay pending across many feeds, so the stream's carried
+/// stability scan resumes mid-construct at every split.
+fn carry_heavy_documents() -> Vec<(String, String)> {
+    let filler = "lorem ipsum dolor\n".repeat(12);
+    let attrs: String = (0..120)
+        .map(|i| match i % 4 {
+            0 => format!(" ALT=\"v>{i}\""),
+            1 => format!(" WIDTH='{i}'"),
+            2 => format!(" HEIGHT={i}"),
+            _ => "\nISMAP".to_string(),
+        })
+        .collect();
+    let head = "<HTML><HEAD><TITLE>carry</TITLE></HEAD><BODY>\n";
+    [
+        (
+            "comment-with-dashes",
+            format!("{head}<!-- one -- two {filler} -- three --->x<!-- <B>a</B> -- > b -->y"),
+        ),
+        (
+            "script-close-split",
+            format!("{head}<SCRIPT>s = \"</scr\" + \"ipt>\";\n{filler}</ScRiPt >after</B>"),
+        ),
+        (
+            "wide-tag",
+            format!("{head}<IMG SRC=\"a.gif\"{attrs}>after<IMG SRC=x ALT=y ALT=z>"),
+        ),
+        (
+            "odd-quote-fallback",
+            format!("{head}<A HREF=\"a.html>{filler}<B>x</B></A>"),
+        ),
+        (
+            "declarations",
+            format!("<!DOCTYPE HTML PUBLIC \"-//W3C//DTD {filler}\" '>' >\n{head}<![CDATA[ {filler} ]] ]]>x<B>open"),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, doc)| (name.to_string(), doc))
+    .collect()
+}
+
+#[test]
+fn carry_heavy_documents_are_split_stable() {
+    for (name, source) in carry_heavy_documents() {
+        let one_shot = Weblint::new().check_string(&source);
+        assert!(
+            !one_shot.is_empty(),
+            "{name}: fixture must produce findings"
+        );
+        let bytes = source.as_bytes();
+        for cut in 0..=bytes.len() {
+            assert_parity(&name, &source, &one_shot, &[&bytes[..cut], &bytes[cut..]]);
+        }
+        let singles: Vec<&[u8]> = bytes.chunks(1).collect();
+        assert_parity(&name, &source, &one_shot, &singles);
+    }
+}
+
+#[test]
+fn quote_past_the_scan_cap_is_split_stable() {
+    // A quoted value longer than the tokenizer's 32 KiB quote-scan cap
+    // with a `<` inside: the quote-aware walk aborts and the quote-parity
+    // fallback ends the tag at its first `>`. Splits land around every
+    // construct that decides that verdict; whole-stream chunkings go down
+    // to single bytes.
+    const CAP: usize = 32 * 1024;
+    let long = "v".repeat(CAP + 100);
+    let source = format!(
+        "<HTML><HEAD><TITLE>cap</TITLE></HEAD><BODY>\n<A HREF=\"{long}<B>x</B>\">after</A>"
+    );
+    let one_shot = Weblint::new().check_string(&source);
+    assert!(
+        one_shot.iter().any(|d| d.id == "odd-quotes"),
+        "{one_shot:?}"
+    );
+    let bytes = source.as_bytes();
+    let value = source.find("HREF=\"").unwrap() + 6;
+    let marks = [
+        value,
+        value + CAP,
+        value + long.len(),
+        source.rfind('>').unwrap(),
+    ];
+    for mark in marks {
+        for cut in mark - 40..(mark + 40).min(bytes.len()) {
+            assert_parity(
+                "quote-cap",
+                &source,
+                &one_shot,
+                &[&bytes[..cut], &bytes[cut..]],
+            );
+        }
+    }
+    for size in [1, 7, 512, 4096] {
+        let chunks: Vec<&[u8]> = bytes.chunks(size).collect();
+        assert_parity("quote-cap", &source, &one_shot, &chunks);
+    }
+}
