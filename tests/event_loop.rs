@@ -1,14 +1,24 @@
-//! Mode-parity integration tests: the event loop and the threaded
-//! server must be indistinguishable on the wire.
+//! The httpd wire protocol, pinned by a stored golden file.
 //!
-//! Every request in the corpus below is sent to two servers — one per
-//! [`ServerMode`] — over a fresh connection, and the complete raw byte
-//! stream each server answers with must be identical, 400s, 413s, and
-//! HTML reports included. `/metrics` is compared line-by-line with the
+//! Every request in the corpus below is sent over a fresh connection and
+//! the complete raw byte stream the server answers with — 400s, 413s,
+//! and HTML reports included — is recorded in
+//! `tests/golden/httpd_exchanges.txt`, together with how far each
+//! exchange moved the `bytes_in` and `requests_served` counters. After
+//! the whole corpus, the `/metrics` body is recorded too, with the
 //! genuinely run-dependent lines (readiness wakeups, queue/lint timing,
-//! per-worker distribution) masked; every counter the threaded server
-//! has always exported must match to the byte.
+//! per-worker distribution, streamed-vs-pooled job counts) masked.
+//!
+//! The golden was first written from both serving modes the server then
+//! had (a readiness loop and thread-per-connection), asserted equal.
+//!
+//! Regenerate after an *intentional* protocol change with:
+//!
+//! ```sh
+//! WEBLINT_GOLDEN_REGEN=1 cargo test -q --test event_loop
+//! ```
 
+use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -61,10 +71,16 @@ fn post(target: &str, extra: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-#[test]
-fn responses_are_byte_identical_across_modes() {
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/httpd_exchanges.txt"
+);
+
+/// The request corpus, in golden order. Names are part of the golden
+/// format; keep them stable.
+fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     let fixture = "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>";
-    let corpus: Vec<(&str, Vec<u8>)> = vec![
+    vec![
         (
             "health",
             b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
@@ -121,78 +137,128 @@ fn responses_are_byte_identical_across_modes() {
             b"GET /health HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
                 .to_vec(),
         ),
-    ];
+    ]
+}
 
+/// What one corpus request did to a server: the raw answer and how far it
+/// moved the wire counters.
+#[derive(Debug, PartialEq, Eq)]
+struct Exchange {
+    response: Vec<u8>,
+    bytes_in: u64,
+    requests_served: u64,
+}
+
+/// Replay the corpus against `handle`, then fetch the masked `/metrics`
+/// body the history left behind.
+fn replay(handle: &weblint::httpd::ServerHandle) -> (Vec<Exchange>, String) {
+    let mut exchanges = Vec::new();
+    for (name, raw) in corpus() {
+        let before = handle.http_metrics();
+        let response = exchange(handle.addr(), &raw);
+        assert!(!response.is_empty(), "{name}: no response at all");
+        let after = handle.http_metrics();
+        exchanges.push(Exchange {
+            response,
+            bytes_in: after.bytes_in - before.bytes_in,
+            requests_served: after.requests_served - before.requests_served,
+        });
+    }
+    let raw = exchange(
+        handle.addr(),
+        b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    let text = String::from_utf8(raw).unwrap();
+    let body = text.split("\r\n\r\n").nth(1).unwrap_or("");
+    let masked = body
+        .lines()
+        .filter(|line| {
+            // Readiness wakeups, timing and per-worker distribution depend
+            // on scheduling; the service job/cache counters and the
+            // streamed-request count depend on which requests stream on
+            // the loop thread and which ride the worker pool.
+            let line = line.trim_start();
+            ![
+                "loop:",
+                "time:",
+                "load:  per-worker",
+                "pool:",
+                "jobs:",
+                "cache:",
+                "reqs:",
+            ]
+            .iter()
+            .any(|prefix| line.starts_with(prefix))
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(masked.contains("httpd statistics:"), "{masked}");
+    (exchanges, masked)
+}
+
+/// Append `bytes` one source line per output line, each behind `marker`:
+/// `\r`, `\\` and every byte outside printable ASCII are escaped, so the
+/// file shows exactly what crossed the wire. A final line without a
+/// trailing LF renders as its own marked line, so `a` and `a\n` differ.
+fn push_bytes(out: &mut String, marker: char, bytes: &[u8]) {
+    for line in bytes.split(|&b| b == b'\n') {
+        out.push(marker);
+        if !line.is_empty() {
+            out.push(' ');
+        }
+        for &b in line {
+            match b {
+                b'\r' => out.push_str("\\r"),
+                b'\\' => out.push_str("\\\\"),
+                b' '..=b'~' => out.push(char::from(b)),
+                _ => write!(out, "\\x{b:02x}").unwrap(),
+            }
+        }
+        out.push('\n');
+    }
+}
+
+fn render_golden(exchanges: &[Exchange], metrics: &str) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "# httpd wire exchanges. Regenerate: WEBLINT_GOLDEN_REGEN=1 cargo test -q --test event_loop\n",
+    );
+    for ((name, request), exchange) in corpus().iter().zip(exchanges) {
+        writeln!(
+            out,
+            "== {name}\nbytes_in: {}\nrequests_served: {}",
+            exchange.bytes_in, exchange.requests_served
+        )
+        .unwrap();
+        push_bytes(&mut out, '>', request);
+        push_bytes(&mut out, '<', &exchange.response);
+    }
+    out.push_str("== metrics (masked)\n");
+    push_bytes(&mut out, '|', metrics.as_bytes());
+    out
+}
+
+#[test]
+fn responses_are_byte_identical_across_modes() {
     let event = server(ServerMode::EventLoop);
     let threaded = server(ServerMode::Threaded);
-    for (name, raw) in &corpus {
-        let event_before = event.http_metrics();
-        let threaded_before = threaded.http_metrics();
-        let from_event = exchange(event.addr(), raw);
-        let from_threaded = exchange(threaded.addr(), raw);
+    let (event_exchanges, event_metrics) = replay(&event);
+    let (threaded_exchanges, threaded_metrics) = replay(&threaded);
+    for ((name, _), (from_event, from_threaded)) in corpus()
+        .iter()
+        .zip(event_exchanges.iter().zip(&threaded_exchanges))
+    {
         assert!(
             from_event == from_threaded,
             "{name}: modes disagree\n-- event-loop --\n{}\n-- threaded --\n{}",
-            String::from_utf8_lossy(&from_event),
-            String::from_utf8_lossy(&from_threaded)
-        );
-        assert!(!from_event.is_empty(), "{name}: no response at all");
-        // The counters must move in lockstep, case by case.
-        let event_after = event.http_metrics();
-        let threaded_after = threaded.http_metrics();
-        assert_eq!(
-            event_after.bytes_in - event_before.bytes_in,
-            threaded_after.bytes_in - threaded_before.bytes_in,
-            "{name}: bytes_in delta"
-        );
-        assert_eq!(
-            event_after.requests_served - event_before.requests_served,
-            threaded_after.requests_served - threaded_before.requests_served,
-            "{name}: requests delta"
+            String::from_utf8_lossy(&from_event.response),
+            String::from_utf8_lossy(&from_threaded.response)
         );
     }
-
-    // After identical histories, the counters themselves must agree:
-    // compare /metrics bodies with only the genuinely run-dependent
-    // lines masked. Every line the threaded server has always printed
-    // must be byte-identical.
-    let masked = |addr| {
-        let raw = exchange(addr, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let text = String::from_utf8(raw).unwrap();
-        let body = text.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-        body.lines()
-            .filter(|line| {
-                // wakeups only exist in event mode; timing and
-                // per-worker distribution depend on scheduling; lint
-                // bodies stream on the loop thread in event mode, so the
-                // service job/cache counters and the streamed-request
-                // count legitimately diverge (responses above were
-                // asserted byte-identical either way).
-                !line.trim_start().starts_with("loop:")
-                    && !line.trim_start().starts_with("time:")
-                    && !line.trim_start().starts_with("load:  per-worker")
-                    && !line.trim_start().starts_with("pool:")
-                    && !line.trim_start().starts_with("jobs:")
-                    && !line.trim_start().starts_with("cache:")
-                    && !line.trim_start().starts_with("reqs:")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    // bytes_out must agree before /metrics is fetched: the /metrics
-    // bodies themselves legitimately differ in length (the event loop's
-    // wakeup count has more digits than the threaded server's zero).
-    let event_pre = event.http_metrics();
-    let threaded_pre = threaded.http_metrics();
-    assert_eq!(event_pre.bytes_out, threaded_pre.bytes_out);
-
-    let event_metrics = masked(event.addr());
-    let threaded_metrics = masked(threaded.addr());
     assert!(
         event_metrics == threaded_metrics,
         "metrics disagree\n-- event-loop --\n{event_metrics}\n-- threaded --\n{threaded_metrics}"
     );
-    assert!(event_metrics.contains("httpd statistics:"));
 
     let (event_http, _) = event.shutdown();
     let (threaded_http, _) = threaded.shutdown();
@@ -207,6 +273,22 @@ fn responses_are_byte_identical_across_modes() {
     assert_eq!(event_http.keepalive_reuse, threaded_http.keepalive_reuse);
     assert_eq!(event_http.open_connections, 0);
     assert_eq!(threaded_http.open_connections, 0);
+
+    let actual = render_golden(&event_exchanges, &event_metrics);
+    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
+        std::fs::write(GOLDEN_PATH, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing — run with WEBLINT_GOLDEN_REGEN=1 to create it");
+    let entries = |text: &str| -> Vec<String> { text.split("\n== ").map(str::to_string).collect() };
+    for (e, a) in entries(&expected).iter().zip(&entries(&actual)) {
+        assert!(
+            e == a,
+            "golden entry differs\n-- expected --\n{e}\n-- actual --\n{a}"
+        );
+    }
+    assert_eq!(expected, actual, "golden and actual differ in length");
 }
 
 /// The keep-alive soak both modes must survive: many concurrent
