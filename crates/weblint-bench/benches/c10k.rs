@@ -1,13 +1,15 @@
-//! E19: C10k — the readiness loop against thread-per-connection.
+//! E19: C10k — bursts and idle scale on the readiness loop.
 //!
 //! Two claims to earn. First, burst throughput: with N keep-alive
-//! connections all presenting a request at once, the single-threaded
-//! event loop must answer at least as fast as N dedicated OS threads at
-//! every tested N — the readiness loop may not cost throughput on the
-//! workloads the threaded server handled fine. Second, idle scale: ten
-//! thousand established keep-alive connections must sit on one loop
-//! thread with flat memory — a buffer each, not a stack each — and the
-//! loop must still answer promptly with all of them parked.
+//! connections all presenting a request at once, the one-thread event
+//! loop must clear an absolute requests/second floor at every
+//! tested N. The floors are 0.85x the thread-per-connection server's
+//! throughput as recorded in `BENCH_E19.json` — the bar the loop was
+//! first gated against, relative to a server that no longer exists.
+//! Second, idle scale: ten thousand established keep-alive connections
+//! must sit on one loop thread with flat memory — a buffer each, not a
+//! stack each — and the loop must still answer promptly with all of them
+//! parked.
 //!
 //! The server runs as a real `weblint-serve` subprocess (its own file
 //! descriptor budget, its own address space for the RSS measurements);
@@ -22,16 +24,14 @@ use std::time::{Duration, Instant};
 use weblint_bench::experiment_header;
 use weblint_httpd::client;
 
-const CONN_COUNTS: &[usize] = &[64, 256, 1024];
+/// `(connections, minimum requests/second)`: 0.85x the threaded rows of
+/// `BENCH_E19.json` (56399, 56248 and 26868 req/s), rounded up. The loop
+/// itself measured 76229, 74455 and 61909 req/s there.
+const BURST_FLOORS: &[(usize, f64)] = &[(64, 47_940.0), (256, 47_811.0), (1024, 22_838.0)];
 /// Bursts per timed shape pass.
 const ROUNDS: usize = 4;
 /// Idle population for the flat-memory phase (`C10K_IDLE` overrides).
 const IDLE_CONNS: usize = 10_000;
-/// The event loop must stay within this factor of the threaded server's
-/// burst throughput at every connection count. It should win outright —
-/// and typically does — but a single-core CI container is noisy enough
-/// that a strict >= 1.0 gate would flake.
-const MIN_RATIO: f64 = 0.85;
 /// Idle-population memory bound: bytes of server RSS growth per
 /// additional established connection. A parked connection costs a small
 /// heap record; a thread costs kilobytes of touched stack. The bound
@@ -45,7 +45,7 @@ struct Server {
 }
 
 impl Server {
-    fn spawn(mode: &str) -> Server {
+    fn spawn() -> Server {
         let mut child = Command::new(server_binary())
             .args([
                 "-port",
@@ -56,13 +56,12 @@ impl Server {
                 "600",
                 "-max-requests",
                 "1000000",
-                mode,
             ])
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
             .expect("spawn weblint-serve");
-        // First stdout line: "weblint-serve: listening on http://ADDR/ [mode] ...".
+        // First stdout line: "weblint-serve: listening on http://ADDR/ ...".
         let mut line = String::new();
         BufReader::new(child.stdout.take().expect("child stdout"))
             .read_line(&mut line)
@@ -158,12 +157,12 @@ struct Cell {
 }
 
 impl Cell {
-    fn new(mode: &str, count: usize) -> Cell {
-        let server = Server::spawn(mode);
+    fn new(count: usize) -> Cell {
+        let server = Server::spawn();
         let mut conns = Vec::with_capacity(count);
         for i in 0..count {
-            let stream = TcpStream::connect(server.addr)
-                .unwrap_or_else(|e| panic!("{mode}: connect {i}: {e}"));
+            let stream =
+                TcpStream::connect(server.addr).unwrap_or_else(|e| panic!("connect {i}: {e}"));
             stream.set_nodelay(true).expect("nodelay");
             stream
                 .set_read_timeout(Some(Duration::from_secs(30)))
@@ -180,8 +179,8 @@ impl Cell {
     }
 
     /// Present one request on every connection at once, then collect
-    /// every response — the all-fire-together shape that makes
-    /// thread-per-connection pay for its context switches.
+    /// every response — the all-fire-together shape that would make a
+    /// thread-per-connection server pay for its context switches.
     fn burst(&mut self) {
         for (stream, _) in &mut self.conns {
             stream.write_all(&self.request).expect("send");
@@ -195,46 +194,33 @@ impl Cell {
 }
 
 fn bench_bursts(c: &mut Criterion) {
-    experiment_header(
-        "E19",
-        "C10k: event loop vs thread-per-connection under all-fire bursts",
-    );
+    experiment_header("E19", "C10k: event loop under all-fire bursts");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("  available parallelism: {cores} core(s)");
 
-    // Shape table: requests/second per (connections, mode), with the
-    // throughput gate applied at every count.
-    for &count in CONN_COUNTS {
-        let mut rps = Vec::new();
-        for mode in ["-event-loop", "-threaded"] {
-            let mut cell = Cell::new(mode, count);
-            let start = Instant::now();
-            for _ in 0..ROUNDS {
-                cell.burst();
-            }
-            let elapsed = start.elapsed();
-            rps.push((count * ROUNDS) as f64 / elapsed.as_secs_f64());
+    // Shape table: requests/second per connection count, each gated
+    // against its absolute floor.
+    for &(count, floor) in BURST_FLOORS {
+        let mut cell = Cell::new(count);
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            cell.burst();
         }
-        let (event, threaded) = (rps[0], rps[1]);
-        println!(
-            "  {count:>5} conn(s): event-loop {event:>8.0} req/s  threaded {threaded:>8.0} req/s  ratio {:.2}x",
-            event / threaded
-        );
+        let rps = (count * ROUNDS) as f64 / start.elapsed().as_secs_f64();
+        println!("  {count:>5} conn(s): {rps:>8.0} req/s  (floor {floor:.0})");
         assert!(
-            event >= MIN_RATIO * threaded,
-            "{count} conns: event loop fell below {MIN_RATIO}x threaded ({event:.0} vs {threaded:.0} req/s)"
+            rps >= floor,
+            "{count} conns: event loop fell below its floor ({rps:.0} vs {floor:.0} req/s)"
         );
     }
 
     let mut group = c.benchmark_group("c10k_burst");
-    for &count in CONN_COUNTS {
+    for &(count, _) in BURST_FLOORS {
         group.throughput(Throughput::Elements(count as u64));
-        for mode in ["event-loop", "threaded"] {
-            let mut cell = Cell::new(&format!("-{mode}"), count);
-            group.bench_with_input(BenchmarkId::new(mode, count), &count, |b, _| {
-                b.iter(|| cell.burst())
-            });
-        }
+        let mut cell = Cell::new(count);
+        group.bench_with_input(BenchmarkId::new("event-loop", count), &count, |b, _| {
+            b.iter(|| cell.burst())
+        });
     }
     group.finish();
 }
@@ -250,7 +236,7 @@ fn bench_idle_scale(c: &mut Criterion) {
         "E19",
         "C10k: idle keep-alive population on one event-loop thread",
     );
-    let server = Server::spawn("-event-loop");
+    let server = Server::spawn();
     let request = client::request_bytes("GET", "/health", &[], b"");
 
     // Grow the population in steps; after each, wait for the server's

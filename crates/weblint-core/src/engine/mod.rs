@@ -49,21 +49,31 @@ use names::known;
 /// [`crate::LintSession`] the amortized-allocation one.
 pub fn check(spec: &HtmlSpec, config: &LintConfig, src: &str) -> Vec<Diagnostic> {
     let mut scratch = Scratch::default();
-    check_with(spec, config, src, &mut scratch)
+    check_with(spec, config, src, &mut scratch, None)
 }
 
 /// [`check`] against caller-provided scratch buffers. The scratch is reset
-/// first, so any prior contents are irrelevant.
+/// first, so any prior contents are irrelevant. With a `profile`, also
+/// fills it with per-rule hit and wall-time counters plus the document's
+/// total engine time; without one, the clock is never read.
 pub(crate) fn check_with(
     spec: &HtmlSpec,
     config: &LintConfig,
     src: &str,
     scratch: &mut Scratch,
+    mut profile: Option<&mut Profile>,
 ) -> Vec<Diagnostic> {
     scratch.reset();
+    let t0 = profile.is_some().then(Instant::now);
     let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
+    checker.profile = profile.as_deref_mut();
     drive(&mut checker, src);
-    checker.finish()
+    let diags = checker.finish();
+    if let (Some(profile), Some(t0)) = (profile, t0) {
+        profile.total_nanos += t0.elapsed().as_nanos() as u64;
+        profile.documents += 1;
+    }
+    diags
 }
 
 /// Pump every token of an in-memory document through the checker, via the
@@ -75,26 +85,6 @@ fn drive(checker: &mut Checker<'_>, src: &str) {
     while let Step::Token(token) = tokens.step(true) {
         checker.on_token(&token);
     }
-}
-
-/// [`check_with`], filling `profile` with per-rule hit and wall-time
-/// counters plus the document's total engine time.
-pub(crate) fn check_profiled(
-    spec: &HtmlSpec,
-    config: &LintConfig,
-    src: &str,
-    scratch: &mut Scratch,
-    profile: &mut Profile,
-) -> Vec<Diagnostic> {
-    scratch.reset();
-    let t0 = Instant::now();
-    let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
-    checker.profile = Some(profile);
-    drive(&mut checker, src);
-    let diags = checker.finish();
-    profile.total_nanos += t0.elapsed().as_nanos() as u64;
-    profile.documents += 1;
-    diags
 }
 
 /// The per-document engine state that must survive between feeds of a
@@ -508,7 +498,7 @@ mod tests {
         ];
         let mut scratch = Scratch::default();
         for doc in docs {
-            let reused = check_with(&spec, &config, doc, &mut scratch);
+            let reused = check_with(&spec, &config, doc, &mut scratch, None);
             let fresh = check(&spec, &config, doc);
             assert_eq!(reused, fresh, "{doc:?}");
         }

@@ -31,8 +31,7 @@ use crate::message::Diagnostic;
 use crate::options::LintConfig;
 
 /// Options for a single [`LintSession::lint`] call — the one entry point
-/// behind [`LintSession::check_string`] and the deprecated
-/// [`LintSession::check_string_profiled`].
+/// behind [`LintSession::check_string`].
 #[derive(Debug, Default)]
 pub struct LintRequest<'p> {
     /// Override the session configuration's `emit_fixes` for this document:
@@ -131,12 +130,13 @@ impl LintSession {
             self.config.emit_fixes = fixes;
         }
         self.documents += 1;
-        let diags = match request.profile {
-            Some(profile) => {
-                engine::check_profiled(&self.spec, &self.config, src, &mut self.scratch, profile)
-            }
-            None => engine::check_with(&self.spec, &self.config, src, &mut self.scratch),
-        };
+        let diags = engine::check_with(
+            &self.spec,
+            &self.config,
+            src,
+            &mut self.scratch,
+            request.profile,
+        );
         self.config.emit_fixes = saved;
         diags
     }
@@ -146,24 +146,6 @@ impl LintSession {
     /// [`LintSession::lint`] with default options.
     pub fn check_string(&mut self, src: &str) -> Vec<Diagnostic> {
         self.lint(src, LintRequest::default())
-    }
-
-    /// [`LintSession::check_string`], accumulating per-rule hit and
-    /// wall-time counters into `profile`. This is what `weblint -profile`
-    /// runs.
-    #[deprecated(since = "0.10.0", note = "use `lint` with `LintRequest::profile`")]
-    pub fn check_string_profiled(
-        &mut self,
-        src: &str,
-        profile: &mut weblint_rules::profile::Profile,
-    ) -> Vec<Diagnostic> {
-        self.lint(
-            src,
-            LintRequest {
-                profile: Some(profile),
-                ..LintRequest::default()
-            },
-        )
     }
 
     /// Push the next chunk of a streamed document and collect the
@@ -479,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn lint_request_profile_matches_deprecated_wrapper() {
+    fn profiled_lint_matches_the_plain_check() {
         let doc = "<H1>My Example</H2>";
         let mut session = LintSession::new();
         let plain = session.check_string(doc);

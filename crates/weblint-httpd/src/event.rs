@@ -1,13 +1,12 @@
 //! The readiness loop: every connection on one thread.
 //!
-//! Thread-per-connection (the [`server`](crate::server) module's
-//! original design, kept as [`ServerMode::Threaded`]) spends a stack per
-//! connection, so 10k mostly-idle keep-alive clients cost gigabytes of
-//! address space and thousands of scheduler entities before the lint
-//! engine does any work. This module serves the same protocol from one
-//! thread: the listener, every connection, and a self-pipe are registered
-//! with a [`Poller`] (`epoll` on Linux, portable `poll` elsewhere), and
-//! each readiness report advances a per-connection state machine
+//! A thread per connection would spend a stack per connection, so 10k
+//! mostly-idle keep-alive clients would cost gigabytes of address space
+//! and thousands of scheduler entities before the lint engine did any
+//! work. This module serves every connection from one thread instead:
+//! the listener, every connection, and a self-pipe are registered with a
+//! [`Poller`] (`epoll` on Linux, portable `poll` elsewhere), and each
+//! readiness report advances a per-connection state machine
 //!
 //! ```text
 //! ReadHead ─→ ReadBody ─→ Dispatched ─→ Write ─→ (keep-alive) ─→ ReadHead
@@ -15,29 +14,30 @@
 //!     └── 400/413 ─┴───────────────────────┴─→ Close
 //! ```
 //!
-//! Parsing reuses the exact blocking-parser code path: bytes accumulate
-//! in a per-connection buffer, and [`parse_head`] only runs over that
-//! buffer once [`find_head_end`]/[`head_overflow`] prove it can reach a
-//! verdict — so every malformed request earns byte-for-byte the same 400
-//! the threaded path produces, and every counter in `/metrics` moves at
-//! the same point in the request's life.
+//! Parsing is incremental: bytes accumulate in a per-connection buffer,
+//! and [`parse_head`] only runs over that buffer once
+//! [`find_head_end`]/[`head_overflow`] prove it can reach a verdict, so
+//! a partial arrival is never misread as a truncated request. The body
+//! is then consumed as it lands — counted off against `Content-Length`,
+//! or decoded by a [`ChunkDecoder`].
 //!
-//! Lint work never runs on the loop thread. A completed parse becomes a
-//! [`Job`] for a small dispatcher pool (the only threads this mode
-//! spends), which calls the ordinary [`handle`] — worker-pool dispatch,
-//! load shedding, and panic isolation included — and posts a
-//! [`Completion`]. Dispatchers wake the loop through the self-pipe, so
-//! the loop blocks on readiness alone, never on lint latency.
+//! Lint work never runs on the loop thread, except the streaming `POST
+//! /lint` path (see [`LintStream`]); routes that neither lint nor fetch
+//! (health, metrics, refusals) are answered inline. Any other completed
+//! parse becomes a [`Job`] for a small dispatcher pool, which calls the
+//! ordinary [`handle`] — worker-pool dispatch, load shedding, and panic
+//! isolation included — and posts a [`Completion`]. Dispatchers wake the
+//! loop through the self-pipe, so the loop blocks on readiness alone,
+//! never on lint latency.
 //!
-//! Deadlines replicate [`DeadlineStream`](crate::server)'s phases as
-//! absolute instants: idle keep-alive and body reads get the read
-//! timeout, a started head gets the (much shorter) header budget — the
-//! slowloris defense — and writes get the write timeout. A min-deadline
-//! hint keeps the wait timeout tight without scanning every connection
-//! on every wakeup.
+//! Each phase has an absolute deadline: idle keep-alive and body reads
+//! get the read timeout, a started head gets the (much shorter) header
+//! budget — the slowloris defense — and writes get the write timeout. A
+//! min-deadline hint keeps the wait timeout tight without scanning every
+//! connection on every wakeup.
 
 use std::collections::HashMap;
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,14 +47,13 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use crate::handler::{handle, stream_plan, App, LintStream};
+use crate::handler::{answers_inline, handle, stream_plan, App, LintStream};
 use crate::http::{
-    find_head_end, head_overflow, parse_head, write_response, BodyFraming, ChunkDecoder,
-    ParseError, Response,
+    find_head_end, head_overflow, parse_head, write_response, BodyReader, ParseError, Response,
 };
 use crate::metrics::HttpCounters;
 use crate::server::ConnLimits;
-use crate::sys::{self, Poller, WakePipe, READABLE, WRITABLE};
+use crate::sys::{Poller, WakePipe, READABLE, WRITABLE};
 
 /// A parsed request on its way to a dispatcher thread.
 struct Job {
@@ -65,8 +64,7 @@ struct Job {
 }
 
 /// A handled request on its way back to the loop. `response: None` means
-/// the handler panicked; the threaded path would lose its connection
-/// thread to the same panic, so the connection is dropped unanswered.
+/// the handler panicked; the connection is dropped unanswered.
 struct Completion {
     fd: RawFd,
     response: Option<Response>,
@@ -88,7 +86,7 @@ enum State {
     /// retains the body at all.
     ReadBody {
         request: Box<crate::http::Request>,
-        progress: BodyProgress,
+        reader: BodyReader,
         sink: BodySink,
         head_bytes: u64,
         body_bytes: u64,
@@ -101,14 +99,6 @@ enum State {
     Dispatched,
     /// Flushing the response; `keep` decides what follows the last byte.
     Write { keep: bool },
-}
-
-/// How much of a request body's framing remains.
-enum BodyProgress {
-    /// Fixed-length body: this many bytes still owed.
-    Length { remaining: usize },
-    /// `Transfer-Encoding: chunked`, mid-decode.
-    Chunked(ChunkDecoder),
 }
 
 /// Where decoded body bytes land as they are consumed.
@@ -126,17 +116,6 @@ impl BodySink {
             BodySink::Stream(lint) => lint.feed(chunk, max_findings),
         }
     }
-}
-
-/// What one pump of the body phase concluded.
-enum BodyVerdict {
-    /// More bytes must arrive.
-    Wait,
-    /// The body is fully consumed.
-    Complete,
-    /// Refuse the request; `true` counts it as a body rejection (413)
-    /// rather than a parse error (400).
-    Refuse(Response, bool),
 }
 
 /// One nonblocking connection and its state machine.
@@ -176,34 +155,18 @@ impl Conn {
     }
 }
 
-/// Accept backlog to request once the loop owns the listener; bursts of
-/// thousands of connects are this mode's whole point.
-const ACCEPT_BACKLOG: i32 = 4096;
-
 /// Run the event loop until `stop` is set and every connection has
-/// drained. Falls back to the threaded accept loop if no poller can be
-/// created (readiness syscalls unavailable).
+/// drained. `poller` already watches `listener` and `wake`.
 pub(crate) fn event_loop(
     listener: TcpListener,
+    poller: Poller,
     app: Arc<App>,
     limits: ConnLimits,
     stop: Arc<AtomicBool>,
     wake: Arc<WakePipe>,
     dispatchers: usize,
 ) {
-    let mut poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(_) => return crate::server::accept_loop(listener, app, limits, stop),
-    };
     let listener_fd = listener.as_raw_fd();
-    sys::widen_backlog(listener_fd, ACCEPT_BACKLOG);
-    if poller.register(listener_fd, READABLE).is_err()
-        || poller.register(wake.read_fd(), READABLE).is_err()
-    {
-        poller.deregister(listener_fd);
-        return crate::server::accept_loop(listener, app, limits, stop);
-    }
-
     let (job_tx, job_rx) = channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::default();
@@ -287,8 +250,7 @@ struct EventLoop {
     /// count — a connection holds at most one job in flight (it parks in
     /// [`State::Dispatched`] until the completion drains) — so the
     /// unbounded channel cannot outgrow the accepted population. Lint
-    /// overload is shed inside [`handle`] by the service submit policy,
-    /// exactly as on the threaded path.
+    /// overload is shed inside [`handle`] by the service submit policy.
     pending: usize,
     /// Earliest deadline across all connections — may be stale-early
     /// (a connection advanced past it), never stale-late, so waking on it
@@ -329,9 +291,7 @@ impl EventLoop {
     }
 
     /// Stop accepting and close idle connections; in-flight requests
-    /// keep their deadlines and finish (the same grace the threaded path
-    /// gives — its connection threads also only check `stop` between
-    /// requests).
+    /// keep their deadlines and finish.
     fn begin_stop(&mut self) {
         self.stopping = true;
         self.poller.deregister(self.listener_fd);
@@ -442,8 +402,7 @@ impl EventLoop {
                     if !*started {
                         if conn.buf.is_empty() {
                             if conn.eof {
-                                // Clean close between requests — exactly
-                                // the threaded path's `Ok([])` arm.
+                                // Clean close between requests.
                                 self.close(fd);
                             }
                             return;
@@ -461,95 +420,32 @@ impl EventLoop {
                     }
                 }
                 State::ReadBody {
-                    progress,
+                    reader,
                     sink,
                     body_bytes,
                     ..
                 } => {
                     let max_findings = self.limits.max_findings;
-                    let verdict = match progress {
-                        BodyProgress::Length { remaining } => {
-                            let take = (*remaining).min(conn.buf.len());
-                            if take > 0 {
-                                sink.accept(&conn.buf[..take], max_findings);
-                                conn.buf.drain(..take);
-                                *remaining -= take;
-                                *body_bytes += take as u64;
-                            }
-                            if *remaining == 0 {
-                                BodyVerdict::Complete
-                            } else if conn.eof {
-                                // The threaded path's read_body maps this
-                                // UnexpectedEof to the same 400.
-                                BodyVerdict::Refuse(
-                                    Response::text(
-                                        400,
-                                        "bad request: body shorter than content-length\n",
-                                    ),
-                                    false,
-                                )
+                    let verdict = reader
+                        .push(&conn.buf, self.limits.max_body, &mut |chunk| {
+                            sink.accept(chunk, max_findings)
+                        })
+                        .and_then(|(consumed, done)| {
+                            conn.buf.drain(..consumed);
+                            *body_bytes += consumed as u64;
+                            if !done && conn.eof {
+                                Err(reader.truncated())
                             } else {
-                                BodyVerdict::Wait
+                                Ok(done)
                             }
-                        }
-                        BodyProgress::Chunked(decoder) => {
-                            let pushed =
-                                decoder.push(&conn.buf, self.limits.max_body, &mut |chunk| {
-                                    sink.accept(chunk, max_findings)
-                                });
-                            match pushed {
-                                Ok((consumed, done)) => {
-                                    conn.buf.drain(..consumed);
-                                    *body_bytes += consumed as u64;
-                                    if done {
-                                        BodyVerdict::Complete
-                                    } else if conn.eof {
-                                        BodyVerdict::Refuse(
-                                            Response::text(
-                                                400,
-                                                "bad request: truncated chunked body\n",
-                                            ),
-                                            false,
-                                        )
-                                    } else {
-                                        BodyVerdict::Wait
-                                    }
-                                }
-                                Err(ParseError::BodyTooLarge { declared, limit }) => {
-                                    BodyVerdict::Refuse(
-                                        Response::text(
-                                            413,
-                                            format!(
-                                        "document of {declared} byte(s) exceeds the {limit} byte limit\n"
-                                    ),
-                                        ),
-                                        true,
-                                    )
-                                }
-                                Err(ParseError::BadRequest(reason)) => BodyVerdict::Refuse(
-                                    Response::text(400, format!("bad request: {reason}\n")),
-                                    false,
-                                ),
-                                // The decoder only raises the two above.
-                                Err(_) => BodyVerdict::Refuse(
-                                    Response::text(400, "bad request\n"),
-                                    false,
-                                ),
-                            }
-                        }
-                    };
+                        });
                     match verdict {
-                        BodyVerdict::Wait => return,
-                        BodyVerdict::Refuse(response, rejection) => {
-                            HttpCounters::bump(if rejection {
-                                &self.app.counters.body_rejections
-                            } else {
-                                &self.app.counters.parse_errors
-                            });
-                            self.respond(fd, response, false, false);
+                        Ok(false) => return,
+                        Ok(true) => {}
+                        Err(err) => {
+                            self.refuse(fd, err);
                             return;
                         }
-                        BodyVerdict::Complete => {}
                     }
                     let State::ReadBody {
                         request,
@@ -567,6 +463,13 @@ impl EventLoop {
                     let keep = self.limits.keep_alive && !request.wants_close();
                     let head_only = request.method == "HEAD";
                     match sink {
+                        BodySink::Buffer(body) if answers_inline(&request) => {
+                            // No lint and no fetch: a dispatcher hop would
+                            // cost more than the handler itself.
+                            request.body = body;
+                            let response = handle(&self.app, &request);
+                            self.respond(fd, response, head_only, keep);
+                        }
                         BodySink::Buffer(body) => {
                             request.body = body;
                             self.set_interest(fd, 0);
@@ -610,7 +513,7 @@ impl EventLoop {
                         }
                     }
                     // Response fully flushed: only now do the wire
-                    // counters move, exactly like the threaded path.
+                    // counters move.
                     HttpCounters::add(&self.app.counters.bytes_out, conn.out.len() as u64);
                     HttpCounters::bump(&self.app.counters.requests);
                     if !keep {
@@ -646,25 +549,20 @@ impl EventLoop {
         if !decidable {
             return false;
         }
-        let mut cursor = Cursor::new(conn.buf.as_slice());
-        match parse_head(&mut cursor, self.limits.max_body) {
-            Ok((request, framing, consumed)) => {
-                conn.buf.drain(..consumed as usize);
-                let progress = match framing {
-                    BodyFraming::Length(n) => BodyProgress::Length { remaining: n },
-                    BodyFraming::Chunked => BodyProgress::Chunked(ChunkDecoder::default()),
-                };
+        match parse_head(&conn.buf, self.limits.max_body) {
+            Ok((request, reader, consumed)) => {
+                conn.buf.drain(..consumed);
                 // Lintable POSTs stream through a session as bytes land;
-                // everything else buffers for the dispatcher, as before.
+                // everything else buffers for the dispatcher.
                 let sink = match stream_plan(&self.app, &request) {
                     Some(lint) => BodySink::Stream(Box::new(lint)),
                     None => BodySink::Buffer(Vec::new()),
                 };
                 conn.state = State::ReadBody {
                     request: Box::new(request),
-                    progress,
+                    reader,
                     sink,
-                    head_bytes: consumed,
+                    head_bytes: consumed as u64,
                     body_bytes: 0,
                 };
                 let deadline = Instant::now() + self.limits.read_timeout;
@@ -672,36 +570,42 @@ impl EventLoop {
                 self.merge_deadline(deadline);
                 true
             }
-            Err(ParseError::Eof) => {
-                // Clean EOF before the first byte of a request.
-                self.close(fd);
-                false
-            }
-            Err(ParseError::BodyTooLarge { declared, limit }) => {
-                HttpCounters::bump(&self.app.counters.body_rejections);
-                let body =
-                    format!("document of {declared} byte(s) exceeds the {limit} byte limit\n");
-                self.respond(fd, Response::text(413, body), false, false);
-                false
-            }
-            Err(ParseError::BadRequest(reason)) => {
-                HttpCounters::bump(&self.app.counters.parse_errors);
-                let body = format!("bad request: {reason}\n");
-                self.respond(fd, Response::text(400, body), false, false);
-                false
-            }
-            // A Cursor can neither block nor fail.
-            Err(ParseError::TimedOut | ParseError::Io(_)) => {
-                self.close(fd);
+            Err(err) => {
+                self.refuse(fd, err);
                 false
             }
         }
     }
 
+    /// Answer a request the parser refused, then close: a refused request
+    /// leaves the stream position ambiguous, so the connection is never
+    /// reused. End of input before a request began is a clean close.
+    fn refuse(&mut self, fd: RawFd, err: ParseError) {
+        let counters = &self.app.counters;
+        let (counter, response) = match err {
+            ParseError::BodyTooLarge { declared, limit } => (
+                &counters.body_rejections,
+                Response::text(
+                    413,
+                    format!("document of {declared} byte(s) exceeds the {limit} byte limit\n"),
+                ),
+            ),
+            ParseError::BadRequest(reason) => (
+                &counters.parse_errors,
+                Response::text(400, format!("bad request: {reason}\n")),
+            ),
+            ParseError::Eof => {
+                self.close(fd);
+                return;
+            }
+        };
+        HttpCounters::bump(counter);
+        self.respond(fd, response, false, false);
+    }
+
     /// Serialize a response and start (or finish) writing it. The keep
-    /// decision happens here, after the response exists — the same order
-    /// as the threaded path, so the request cap and shutdown flip the
-    /// `Connection:` header identically.
+    /// decision happens here, after the response exists, so the request
+    /// cap and shutdown flip the `Connection:` header.
     fn respond(&mut self, fd: RawFd, response: Response, head_only: bool, keep: bool) {
         let stop = self.stop.load(Ordering::Acquire);
         let max_requests = self.limits.max_requests;
@@ -747,9 +651,9 @@ impl EventLoop {
         }
     }
 
-    /// Close every connection whose deadline has passed, counting it the
-    /// way the threaded path counts the matching phase timeout. Only runs
-    /// a full scan when the min-deadline hint has actually expired.
+    /// Close every connection whose deadline has passed, counting the
+    /// phase timeout it hit. Only runs a full scan when the min-deadline
+    /// hint has actually expired.
     fn sweep_deadlines(&mut self) {
         let Some(hint) = self.next_deadline else {
             return;
@@ -774,7 +678,7 @@ impl EventLoop {
                             Some(&self.app.counters.header_timeouts)
                         }
                         // A write timeout closes silently, like a write
-                        // error on the threaded path.
+                        // error.
                         State::Write { .. } => None,
                         State::Dispatched => None,
                     };
@@ -839,18 +743,11 @@ impl EventLoop {
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{HttpServer, ServerConfig, ServerMode};
+    use crate::server::{HttpServer, ServerConfig};
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
     use std::thread;
     use std::time::Duration;
-
-    fn event_config() -> ServerConfig {
-        ServerConfig {
-            mode: ServerMode::EventLoop,
-            ..ServerConfig::default()
-        }
-    }
 
     /// The fragmented-arrival table: each case writes its chunks with a
     /// pause in between, so every boundary lands in a separate readiness
@@ -912,7 +809,7 @@ mod tests {
                 expect_body: "body shorter than content-length",
             },
         ];
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         for case in &cases {
             let mut stream = TcpStream::connect(handle.addr()).unwrap();
             for chunk in case.chunks {
@@ -939,7 +836,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_answered_in_order() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         // Three requests in one write; the last one closes.
         let mut wire = Vec::new();
@@ -1006,7 +903,7 @@ mod tests {
             let config = ServerConfig {
                 header_timeout: Duration::from_millis(80),
                 read_timeout: Duration::from_millis(160),
-                ..event_config()
+                ..ServerConfig::default()
             };
             let handle = HttpServer::bind(config).unwrap().start();
             let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -1034,43 +931,9 @@ mod tests {
         }
     }
 
-    /// The parity claim at the socket level: the event loop streams the
-    /// body through a `LintSession` while threaded mode buffers it and
-    /// dispatches to the pool — and a client cannot tell them apart.
-    #[test]
-    fn streamed_and_pooled_responses_are_byte_identical() {
-        let body = "<HTML><BODY><H1>x</H2><IMG SRC=a.gif>&bogus;</BODY></HTML>";
-        let mut responses = Vec::new();
-        for mode in [ServerMode::EventLoop, ServerMode::Threaded] {
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            crate::client::write_request(
-                &mut stream,
-                "POST",
-                "/lint?name=same&format=json",
-                &[],
-                body.as_bytes(),
-            )
-            .unwrap();
-            let response = crate::client::read_response(&mut reader).unwrap();
-            assert_eq!(response.status, 200, "{mode:?}");
-            let (http, _) = handle.shutdown();
-            let streamed = matches!(mode, ServerMode::EventLoop);
-            assert_eq!(http.streamed_lints, u64::from(streamed), "{mode:?}");
-            let content_type = response.header("content-type").map(str::to_string);
-            responses.push((response.body, content_type));
-        }
-        assert_eq!(responses[0], responses[1]);
-    }
-
     #[test]
     fn streamed_non_utf8_body_is_refused_mid_flight() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         crate::client::write_request(
@@ -1089,7 +952,7 @@ mod tests {
 
     #[test]
     fn loop_metrics_move() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         crate::client::write_request(&mut stream, "GET", "/health", &[], b"").unwrap();

@@ -304,6 +304,16 @@ fn utf8_len(lead: u8) -> usize {
     }
 }
 
+/// Whether [`handle`] answers `req` without linting or fetching — the
+/// health, metrics and form pages, and every 404/405 — so the event loop
+/// can call it inline instead of handing it to a dispatcher.
+pub(crate) fn answers_inline(req: &Request) -> bool {
+    !matches!(
+        (req.method.as_str(), req.path.as_str()),
+        ("GET" | "HEAD", "/lint") | ("POST", "/lint" | "/fix")
+    )
+}
+
 /// Dispatch one request. HEAD routes like GET; the server omits the body
 /// when writing the response.
 pub(crate) fn handle(app: &App, req: &Request) -> Response {
@@ -716,6 +726,35 @@ mod tests {
     }
 
     #[test]
+    fn only_routes_that_neither_lint_nor_fetch_answer_inline() {
+        for (method, path) in [
+            ("GET", "/health"),
+            ("HEAD", "/health"),
+            ("GET", "/metrics"),
+            ("GET", "/"),
+            ("GET", "/nope"),
+            ("DELETE", "/lint"),
+            ("GET", "/fix"),
+        ] {
+            assert!(
+                answers_inline(&request(method, path, &[], b"")),
+                "{method} {path}"
+            );
+        }
+        for (method, path) in [
+            ("POST", "/lint"),
+            ("GET", "/lint"),
+            ("HEAD", "/lint"),
+            ("POST", "/fix"),
+        ] {
+            assert!(
+                !answers_inline(&request(method, path, &[], b"")),
+                "{method} {path}"
+            );
+        }
+    }
+
+    #[test]
     fn stream_plan_covers_exactly_the_text_lint_routes() {
         let app = app();
         assert!(stream_plan(&app, &request("POST", "/lint", &[], b"")).is_some());
@@ -729,60 +768,106 @@ mod tests {
         assert!(stream_plan(&app, &request("GET", "/lint", &[], b"")).is_none());
     }
 
+    /// The sample pages every streaming parity test runs over, plus a
+    /// body that is not UTF-8.
+    fn fixtures() -> Vec<(String, Vec<u8>)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/samples");
+        let mut docs: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "html"))
+            .map(|path| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        docs.sort();
+        assert!(docs.len() >= 20, "samples missing from {}", dir.display());
+        docs.push((
+            "not-utf8.html".to_string(),
+            b"<P>ok so far\xff\xfe then junk</P>".to_vec(),
+        ));
+        docs
+    }
+
+    /// Stream `doc` through the event loop's path in `split`-byte feeds.
+    fn stream(app: &App, req: &Request, doc: &[u8], split: usize, max_findings: usize) -> Response {
+        let mut lint = stream_plan(app, req).expect("text formats stream");
+        for chunk in doc.chunks(split.max(1)) {
+            lint.feed(chunk, max_findings);
+        }
+        lint.into_response(app, max_findings)
+    }
+
+    const TEXT_FORMATS: [&str; 5] = ["lint", "short", "terse", "explain", "json"];
+
+    /// `handle()` on the buffered request is the reference the streaming
+    /// path must reproduce byte for byte — status, content type, headers
+    /// and body — for every text format and wherever the feeds split the
+    /// body, the non-UTF-8 refusal included.
     #[test]
-    fn streamed_lint_matches_the_buffered_response_byte_for_byte() {
+    fn streamed_responses_equal_handle_at_every_feed_split() {
         let app = app();
-        let doc =
-            b"<HTML><HEAD><TITLE>t</TITLE></HEAD>\n<BODY><H1>x</H2><IMG SRC=a.gif></BODY></HTML>";
-        for format in ["lint", "short", "terse", "explain", "json"] {
-            let req = request("POST", "/lint", &[("format", format)], doc);
-            let buffered = handle(&app, &req);
-            assert_eq!(buffered.status, 200, "{format}");
-            let mut lint = stream_plan(&app, &req).expect("eligible");
-            for chunk in doc.chunks(7) {
-                lint.feed(chunk, 0);
+        for (name, doc) in fixtures() {
+            for format in TEXT_FORMATS {
+                let req = request(
+                    "POST",
+                    "/lint",
+                    &[("format", format), ("name", &name)],
+                    &doc,
+                );
+                let buffered = handle(&app, &req);
+                for split in [1, 7, doc.len()] {
+                    let streamed = stream(&app, &req, &doc, split, 0);
+                    assert_eq!(
+                        streamed, buffered,
+                        "{name} as {format} in {split}-byte feeds"
+                    );
+                }
             }
-            let streamed = lint.into_response(&app, 0);
-            assert_eq!(streamed.status, 200, "{format}");
-            assert_eq!(streamed.body, buffered.body, "{format}");
-            assert_eq!(streamed.content_type, buffered.content_type, "{format}");
         }
-        assert_eq!(app.counters.snapshot().streamed_lints, 5);
     }
 
+    /// Under a findings budget the streamed report is the reference's
+    /// first `budget` diagnostics, flagged by `X-Weblint-Truncated`.
     #[test]
-    fn streamed_lint_stops_at_the_findings_budget() {
+    fn streamed_budget_truncates_to_the_reference_prefix() {
         let app = app();
-        let req = request("POST", "/lint", &[("format", "terse")], b"");
-        let mut lint = stream_plan(&app, &req).unwrap();
         let doc = "<NOSUCHTAG>x</NOSUCHTAG>".repeat(50);
-        for chunk in doc.as_bytes().chunks(16) {
-            lint.feed(chunk, 3);
+        let full =
+            weblint_core::Weblint::with_config(app.service.config().clone()).check_string(&doc);
+        let budget = 3;
+        assert!(full.len() > budget, "{full:?}");
+        for format in TEXT_FORMATS {
+            let req = request("POST", "/lint", &[("format", format)], doc.as_bytes());
+            let expected = format_report(&full[..budget], "posted", negotiate_text(format));
+            for split in [1, 7, doc.len()] {
+                let response = stream(&app, &req, doc.as_bytes(), split, budget);
+                assert_eq!(response.status, 200, "{format}");
+                assert_eq!(
+                    String::from_utf8(response.body).unwrap(),
+                    expected,
+                    "{format} in {split}-byte feeds"
+                );
+                assert!(
+                    response
+                        .extra_headers
+                        .iter()
+                        .any(|(n, v)| *n == "X-Weblint-Truncated"
+                            && v == "stopped after 3 finding(s)"),
+                    "{:?}",
+                    response.extra_headers
+                );
+            }
         }
-        let response = lint.into_response(&app, 3);
-        assert_eq!(response.status, 200);
-        assert!(
-            response
-                .extra_headers
-                .iter()
-                .any(|(n, v)| *n == "X-Weblint-Truncated" && v.contains("3 finding(s)")),
-            "{:?}",
-            response.extra_headers
-        );
-        let text = String::from_utf8(response.body).unwrap();
-        assert_eq!(text.lines().count(), 3, "{text}");
     }
 
-    #[test]
-    fn streamed_non_utf8_is_refused_like_buffered() {
-        let app = app();
-        let req = request("POST", "/lint", &[], b"");
-        let mut lint = stream_plan(&app, &req).unwrap();
-        lint.feed(b"<P>ok \xff\xfe rest", 0);
-        let response = lint.into_response(&app, 0);
-        assert_eq!(response.status, 400);
-        let buffered = handle(&app, &request("POST", "/lint", &[], b"<P>ok \xff\xfe rest"));
-        assert_eq!(response.body, buffered.body);
+    fn negotiate_text(format: &str) -> OutputFormat {
+        let req = request("POST", "/lint", &[("format", format)], b"");
+        match negotiate(&req, ReportStyle::Html) {
+            Ok(ReportStyle::Text(format)) => format,
+            other => panic!("{format} is not a text format: {other:?}"),
+        }
     }
 
     #[test]

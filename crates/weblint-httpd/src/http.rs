@@ -8,8 +8,14 @@
 //! POSTs. Chunked framing exists for the streaming lint path: a client
 //! that does not know its document's length up front can still POST it,
 //! and the event loop can lint each chunk as it lands.
+//!
+//! There is one parser, and it is incremental: the event loop buffers
+//! arriving bytes until [`find_head_end`] or [`head_overflow`] says
+//! [`parse_head`] can reach a verdict on them, then consumes the body
+//! per its framing with a [`BodyReader`] — counting down a `Content-Length`, or pushing
+//! bytes through a [`ChunkDecoder`].
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Write};
 
 /// Longest accepted request line or single header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -17,7 +23,7 @@ pub const MAX_LINE: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 100;
 
 /// One parsed request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// `GET`, `POST`, `HEAD`, … uppercased as received.
     pub method: String,
@@ -62,7 +68,7 @@ impl Request {
 
 /// Why a request could not be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
+pub(crate) enum ParseError {
     /// Malformed input; the reason lands in the 400 body.
     BadRequest(&'static str),
     /// `Content-Length` exceeded the server's body limit → 413.
@@ -75,96 +81,45 @@ pub enum ParseError {
     /// Clean end of stream before the first byte of a request — the
     /// client closed an idle keep-alive connection. Not an error.
     Eof,
-    /// The socket timed out mid-read (idle keep-alive or stalled client).
-    TimedOut,
-    /// Any other transport failure.
-    Io(io::ErrorKind),
 }
 
-impl From<io::Error> for ParseError {
-    fn from(e: io::Error) -> ParseError {
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ParseError::TimedOut,
-            kind => ParseError::Io(kind),
-        }
-    }
-}
-
-/// Read one line up to CRLF (or bare LF), without the terminator.
-/// Enforces [`MAX_LINE`]; returns the number of raw bytes consumed.
-fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<usize, ParseError> {
-    line.clear();
-    let mut taken = reader.by_ref().take(MAX_LINE as u64 + 1);
-    let n = taken.read_until(b'\n', line)?;
-    if n == 0 {
+/// Split one line, up to LF (CRLF or bare LF), off the front of `buf`.
+/// Enforces [`MAX_LINE`]; returns the line without its terminator and
+/// the number of raw bytes consumed.
+fn read_line<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], usize), ParseError> {
+    if buf.is_empty() {
         return Err(ParseError::Eof);
     }
-    if n > MAX_LINE {
-        return Err(ParseError::BadRequest("header line too long"));
-    }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
+    let window = &buf[..buf.len().min(MAX_LINE + 1)];
+    let n = match find_line_end(window) {
+        Some(n) if n <= MAX_LINE => n,
+        // The input ended mid-line: the request was cut off.
+        None if window.len() <= MAX_LINE => {
+            return Err(ParseError::BadRequest("truncated request"))
         }
-    } else {
-        // EOF mid-line: the request was cut off.
-        return Err(ParseError::BadRequest("truncated request"));
-    }
-    Ok(n)
+        _ => return Err(ParseError::BadRequest("header line too long")),
+    };
+    let (line, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok((trim_line(line), n))
 }
 
-/// How the request body is framed on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BodyFraming {
-    /// Exactly this many bytes follow the head (`Content-Length`; zero
-    /// when absent).
-    Length(usize),
-    /// `Transfer-Encoding: chunked` — hex-sized chunks until a zero
-    /// chunk, then optional trailers up to an empty line.
-    Chunked,
-}
-
-/// Parse one request off the wire. `max_body` bounds the decoded body.
-/// On success also returns the total bytes consumed (the `bytes in`
-/// counter's contribution).
-pub fn parse_request(
-    reader: &mut impl BufRead,
-    max_body: usize,
-) -> Result<(Request, u64), ParseError> {
-    let (mut request, framing, mut consumed) = parse_head(reader, max_body)?;
-    match framing {
-        BodyFraming::Length(content_length) => {
-            request.body = read_body(reader, content_length)?;
-            consumed += content_length as u64;
-        }
-        BodyFraming::Chunked => {
-            let (body, wire) = read_chunked_body(reader, max_body)?;
-            request.body = body;
-            consumed += wire;
-        }
-    }
-    Ok((request, consumed))
-}
-
-/// Parse the request head — request line and headers — and validate
-/// the body framing against `max_body`, without reading the body.
+/// Parse the request head — request line and headers — at the front of
+/// `buf`, and validate the body framing against `max_body`, without
+/// touching the body: an over-limit body is refused before a byte of it
+/// is read.
 ///
-/// Split from [`read_body`] so the server can run the two phases under
-/// different deadlines (the slowloris defense: a client may take a while
-/// to upload a large body, but has no business dribbling headers), and so
-/// over-limit bodies are refused before a byte of body is read.
-///
-/// Returns the body-less request, the body framing, and the bytes
-/// consumed so far.
-pub fn parse_head(
-    reader: &mut impl BufRead,
+/// Returns the body-less request, the reader for its body, and the
+/// head's length in bytes. Call it once [`find_head_end`] or
+/// [`head_overflow`] holds, or at end of input; on a partial head it
+/// reports truncation.
+pub(crate) fn parse_head(
+    mut buf: &[u8],
     max_body: usize,
-) -> Result<(Request, BodyFraming, u64), ParseError> {
-    let mut line = Vec::with_capacity(256);
-    let mut consumed = read_line(reader, &mut line)? as u64;
-    let request_line = String::from_utf8(line.clone())
-        .map_err(|_| ParseError::BadRequest("non-UTF-8 request line"))?;
+) -> Result<(Request, BodyReader, usize), ParseError> {
+    let (line, mut consumed) = read_line(&mut buf)?;
+    let request_line =
+        std::str::from_utf8(line).map_err(|_| ParseError::BadRequest("non-UTF-8 request line"))?;
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
@@ -183,11 +138,12 @@ pub fn parse_head(
 
     let mut headers = Vec::new();
     loop {
-        consumed += read_line(reader, &mut line).map_err(|e| match e {
+        let (line, n) = read_line(&mut buf).map_err(|e| match e {
             // EOF inside the header block is malformed, not a clean close.
             ParseError::Eof => ParseError::BadRequest("truncated request"),
             other => other,
-        })? as u64;
+        })?;
+        consumed += n;
         if line.is_empty() {
             break;
         }
@@ -195,7 +151,7 @@ pub fn parse_head(
             return Err(ParseError::BadRequest("too many headers"));
         }
         let text =
-            std::str::from_utf8(&line).map_err(|_| ParseError::BadRequest("non-UTF-8 header"))?;
+            std::str::from_utf8(line).map_err(|_| ParseError::BadRequest("non-UTF-8 header"))?;
         let (name, value) = text
             .split_once(':')
             .ok_or(ParseError::BadRequest("header without colon"))?;
@@ -250,10 +206,10 @@ pub fn parse_head(
             limit: max_body,
         });
     }
-    let framing = if chunked {
-        BodyFraming::Chunked
+    let body = if chunked {
+        BodyReader::Chunked(ChunkDecoder::default())
     } else {
-        BodyFraming::Length(content_length)
+        BodyReader::Length(content_length)
     };
 
     Ok((
@@ -265,76 +221,55 @@ pub fn parse_head(
             headers,
             body: Vec::new(),
         },
-        framing,
+        body,
         consumed,
     ))
 }
 
-/// Read exactly `content_length` body bytes (the second phase after
-/// [`parse_head`]).
-pub fn read_body(reader: &mut impl BufRead, content_length: usize) -> Result<Vec<u8>, ParseError> {
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ParseError::BadRequest("body shorter than content-length")
-        } else {
-            ParseError::from(e)
-        }
-    })?;
-    Ok(body)
+/// The body phase after [`parse_head`]: consumes a request body per its
+/// wire framing as bytes arrive.
+#[derive(Debug)]
+pub(crate) enum BodyReader {
+    /// `Content-Length` framing (zero when absent): this many bytes are
+    /// still owed.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`, mid-decode.
+    Chunked(ChunkDecoder),
 }
 
-/// Decode a `Transfer-Encoding: chunked` body (the blocking counterpart
-/// of [`ChunkDecoder`], for the threaded path and [`parse_request`]).
-/// `max_body` bounds the *decoded* length. Returns the body and the raw
-/// wire bytes consumed, framing included.
-pub fn read_chunked_body(
-    reader: &mut impl BufRead,
-    max_body: usize,
-) -> Result<(Vec<u8>, u64), ParseError> {
-    let truncated = |e| match e {
-        ParseError::Eof => ParseError::BadRequest("truncated chunked body"),
-        other => other,
-    };
-    let mut body = Vec::new();
-    let mut line = Vec::with_capacity(32);
-    let mut wire = 0u64;
-    loop {
-        wire += read_line(reader, &mut line).map_err(truncated)? as u64;
-        let size = parse_chunk_size(&line)?;
-        if size == 0 {
-            break;
-        }
-        if body.len() + size > max_body {
-            return Err(ParseError::BodyTooLarge {
-                declared: body.len() + size,
-                limit: max_body,
-            });
-        }
-        let at = body.len();
-        body.resize(at + size, 0);
-        reader.read_exact(&mut body[at..]).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                ParseError::BadRequest("truncated chunked body")
-            } else {
-                ParseError::from(e)
+impl BodyReader {
+    /// Consume as much of `buf` as belongs to the body, passing decoded
+    /// body bytes to `sink`. Returns `(consumed, done)`: the caller drains
+    /// `consumed` bytes (pipelined data after the body stays put) and,
+    /// once `done`, the body is complete. `max_body` bounds the decoded
+    /// length of a chunked body; a `Content-Length` was already checked
+    /// against it by [`parse_head`].
+    pub(crate) fn push(
+        &mut self,
+        buf: &[u8],
+        max_body: usize,
+        sink: &mut dyn FnMut(&[u8]),
+    ) -> Result<(usize, bool), ParseError> {
+        match self {
+            BodyReader::Length(remaining) => {
+                let take = (*remaining).min(buf.len());
+                if take > 0 {
+                    sink(&buf[..take]);
+                    *remaining -= take;
+                }
+                Ok((take, *remaining == 0))
             }
-        })?;
-        wire += size as u64;
-        wire += read_line(reader, &mut line).map_err(truncated)? as u64;
-        if !line.is_empty() {
-            return Err(ParseError::BadRequest("chunk data not followed by CRLF"));
+            BodyReader::Chunked(decoder) => decoder.push(buf, max_body, sink),
         }
     }
-    // Trailer section: headers after the last chunk, up to an empty line.
-    // Accepted for framing but ignored — no route reads trailers.
-    loop {
-        wire += read_line(reader, &mut line).map_err(truncated)? as u64;
-        if line.is_empty() {
-            break;
-        }
+
+    /// The refusal for input that ends before the body does.
+    pub(crate) fn truncated(&self) -> ParseError {
+        ParseError::BadRequest(match self {
+            BodyReader::Length(_) => "body shorter than content-length",
+            BodyReader::Chunked(_) => "truncated chunked body",
+        })
     }
-    Ok((body, wire))
 }
 
 /// Parse one chunk-size line: hex digits, optionally followed by
@@ -349,7 +284,7 @@ fn parse_chunk_size(line: &[u8]) -> Result<usize, ParseError> {
     usize::from_str_radix(digits, 16).map_err(|_| ParseError::BadRequest("chunk size too large"))
 }
 
-/// Incremental chunked-body decoder for the event loop: bytes go in as
+/// Incremental chunked-body decoder: bytes go in as
 /// they arrive off the socket, decoded body bytes come out through a
 /// callback, and the connection buffer never has to hold more than one
 /// partial chunk-size line.
@@ -376,12 +311,8 @@ enum ChunkState {
 }
 
 impl ChunkDecoder {
-    /// Decode as much of `buf` as possible, passing decoded body bytes to
-    /// `sink`. Returns `(consumed, done)`: the caller drains `consumed`
-    /// bytes (pipelined data after the terminator stays put) and, once
-    /// `done`, the body is complete. Errors map to the same refusals the
-    /// blocking [`read_chunked_body`] produces.
-    pub(crate) fn push(
+    /// Decode as much of `buf` as possible; see [`BodyReader::push`].
+    fn push(
         &mut self,
         buf: &[u8],
         max_body: usize,
@@ -571,7 +502,7 @@ fn hex_val(b: u8) -> Option<u8> {
 }
 
 /// One response to write back.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
     pub status: u16,
@@ -658,10 +589,73 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use proptest::prelude::*;
 
-    fn parse(raw: &str) -> Result<(Request, u64), ParseError> {
-        parse_request(&mut Cursor::new(raw.as_bytes().to_vec()), 1 << 20)
+    /// The loop's two phases over a whole request at end of input:
+    /// [`parse_head`], then the body per its framing. Returns the request
+    /// with its decoded body, and the bytes consumed.
+    fn parse_with(raw: &[u8], max_body: usize) -> Result<(Request, usize), ParseError> {
+        let (mut request, mut body, head) = parse_head(raw, max_body)?;
+        let mut decoded = Vec::new();
+        let (used, done) = body.push(&raw[head..], max_body, &mut |chunk| {
+            decoded.extend_from_slice(chunk)
+        })?;
+        if !done {
+            return Err(body.truncated());
+        }
+        request.body = decoded;
+        Ok((request, head + used))
+    }
+
+    fn parse(raw: &str) -> Result<(Request, usize), ParseError> {
+        parse_with(raw.as_bytes(), 1 << 20)
+    }
+
+    /// A blocking-style chunked decoder over a whole buffer: the oracle
+    /// [`ChunkDecoder`] is checked against. Returns the body and the raw
+    /// wire bytes consumed, framing included.
+    fn read_chunked_body(mut buf: &[u8], max_body: usize) -> Result<(Vec<u8>, usize), ParseError> {
+        let truncated = |e| match e {
+            ParseError::Eof => ParseError::BadRequest("truncated chunked body"),
+            other => other,
+        };
+        let mut body = Vec::new();
+        let mut wire = 0;
+        loop {
+            let (line, n) = read_line(&mut buf).map_err(truncated)?;
+            wire += n;
+            let size = parse_chunk_size(line)?;
+            if size == 0 {
+                break;
+            }
+            if body.len() + size > max_body {
+                return Err(ParseError::BodyTooLarge {
+                    declared: body.len() + size,
+                    limit: max_body,
+                });
+            }
+            if buf.len() < size {
+                return Err(ParseError::BadRequest("truncated chunked body"));
+            }
+            let (data, rest) = buf.split_at(size);
+            body.extend_from_slice(data);
+            buf = rest;
+            wire += size;
+            let (line, n) = read_line(&mut buf).map_err(truncated)?;
+            wire += n;
+            if !line.is_empty() {
+                return Err(ParseError::BadRequest("chunk data not followed by CRLF"));
+            }
+        }
+        // Trailers: accepted for framing, ignored, up to an empty line.
+        loop {
+            let (line, n) = read_line(&mut buf).map_err(truncated)?;
+            wire += n;
+            if line.is_empty() {
+                break;
+            }
+        }
+        Ok((body, wire))
     }
 
     #[test]
@@ -739,7 +733,7 @@ mod tests {
     #[test]
     fn over_limit_body_is_413_without_reading_it() {
         let raw = "POST /lint HTTP/1.1\r\nContent-Length: 64\r\n\r\n";
-        let err = parse_request(&mut Cursor::new(raw.as_bytes().to_vec()), 16).unwrap_err();
+        let err = parse_with(raw.as_bytes(), 16).unwrap_err();
         assert_eq!(
             err,
             ParseError::BodyTooLarge {
@@ -755,27 +749,27 @@ mod tests {
                    4\r\n<H1>\r\n6;note=ext\r\nx</H2>\r\n0\r\n\r\n";
         let (req, consumed) = parse(raw).unwrap();
         assert_eq!(req.body, b"<H1>x</H2>");
-        assert_eq!(consumed, raw.len() as u64, "framing bytes all counted");
+        assert_eq!(consumed, raw.len(), "framing bytes all counted");
         // Case-insensitive coding name, hex sizes, and trailers.
         let raw = "POST /x HTTP/1.1\r\nTransfer-Encoding: Chunked\r\n\r\n\
                    A\r\n0123456789\r\n0\r\nX-Trailer: ignored\r\n\r\n";
         let (req, consumed) = parse(raw).unwrap();
         assert_eq!(req.body, b"0123456789");
-        assert_eq!(consumed, raw.len() as u64);
+        assert_eq!(consumed, raw.len());
     }
 
     #[test]
     fn chunked_head_reports_chunked_framing() {
         let raw = "POST /lint HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
-        let (_, framing, _) = parse_head(&mut Cursor::new(raw.as_bytes().to_vec()), 16).unwrap();
-        assert_eq!(framing, BodyFraming::Chunked);
+        let (_, body, _) = parse_head(raw.as_bytes(), 16).unwrap();
+        assert!(matches!(body, BodyReader::Chunked(_)), "{body:?}");
     }
 
     #[test]
     fn chunked_body_over_limit_is_413_at_the_offending_chunk() {
         let raw = "POST /lint HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                    10\r\n0123456789abcdef\r\n10\r\n0123456789abcdef\r\n0\r\n\r\n";
-        let err = parse_request(&mut Cursor::new(raw.as_bytes().to_vec()), 24).unwrap_err();
+        let err = parse_with(raw.as_bytes(), 24).unwrap_err();
         assert_eq!(
             err,
             ParseError::BodyTooLarge {
@@ -788,7 +782,7 @@ mod tests {
     #[test]
     fn chunk_decoder_matches_blocking_decoder_at_every_split() {
         let wire = b"4\r\n<H1>\r\n6;ext=1\r\nx</H2>\r\n0\r\nX-T: v\r\n\r\nGET /next";
-        let (expected, consumed) = read_chunked_body(&mut Cursor::new(wire.to_vec()), 64).unwrap();
+        let (expected, consumed) = read_chunked_body(wire, 64).unwrap();
         assert_eq!(expected, b"<H1>x</H2>");
         for split in 0..=wire.len() {
             let mut decoder = ChunkDecoder::default();
@@ -801,8 +795,8 @@ mod tests {
             rest.drain(..used2);
             assert!(done2 || done, "split {split} never completed");
             assert_eq!(decoded, expected, "split {split}");
+            assert_eq!(used + used2, consumed, "split {split}");
             assert_eq!(rest, b"GET /next", "split {split}: pipelined data kept");
-            let _ = consumed;
         }
     }
 
@@ -839,27 +833,26 @@ mod tests {
     }
 
     #[test]
-    fn head_and_body_phases_compose_like_parse_request() {
-        let raw = "POST /lint HTTP/1.1\r\nContent-Length: 9\r\n\r\n<H1>x</H2";
-        let mut cursor = Cursor::new(raw.as_bytes().to_vec());
-        let (mut req, framing, consumed) = parse_head(&mut cursor, 1 << 20).unwrap();
+    fn head_phase_leaves_the_body_to_the_body_reader() {
+        let raw = b"POST /lint HTTP/1.1\r\nContent-Length: 9\r\n\r\n<H1>x</H2";
+        let (req, mut body, head) = parse_head(raw, 1 << 20).unwrap();
         assert!(req.body.is_empty(), "head phase must not touch the body");
-        assert_eq!(framing, BodyFraming::Length(9));
-        req.body = read_body(&mut cursor, 9).unwrap();
-        assert_eq!(req.body, b"<H1>x</H2");
-        let (whole, total) = parse(raw).unwrap();
-        assert_eq!(whole.body, req.body);
-        assert_eq!(total, consumed + 9);
+        assert!(matches!(body, BodyReader::Length(9)), "{body:?}");
+        assert_eq!(&raw[head..], b"<H1>x</H2");
+        let mut decoded = Vec::new();
+        let pushed = body.push(&raw[head..], 1 << 20, &mut |chunk| {
+            decoded.extend_from_slice(chunk)
+        });
+        assert_eq!(pushed, Ok((9, true)));
+        assert_eq!(decoded, b"<H1>x</H2");
     }
 
     #[test]
     fn over_limit_body_is_rejected_in_the_head_phase() {
-        // 413 must be decided before a single body byte is read.
-        let raw = "POST /lint HTTP/1.1\r\nContent-Length: 64\r\n\r\n";
-        let mut cursor = Cursor::new(raw.as_bytes().to_vec());
-        let err = parse_head(&mut cursor, 16).unwrap_err();
+        // 413 must be decided before a single body byte has arrived.
+        let raw = b"POST /lint HTTP/1.1\r\nContent-Length: 64\r\n\r\n";
+        let err = parse_head(raw, 16).unwrap_err();
         assert!(matches!(err, ParseError::BodyTooLarge { .. }));
-        assert_eq!(cursor.position() as usize, raw.len());
     }
 
     #[test]
@@ -904,7 +897,7 @@ mod tests {
         let long = vec![b'a'; MAX_LINE + 1];
         assert!(head_overflow(&long));
         assert!(matches!(
-            parse_head(&mut Cursor::new(long), 1 << 20),
+            parse_head(&long, 1 << 20),
             Err(ParseError::BadRequest("header line too long"))
         ));
         // More lines than a request line + MAX_HEADERS headers can fill.
@@ -914,7 +907,7 @@ mod tests {
         }
         assert!(head_overflow(&many));
         assert!(matches!(
-            parse_head(&mut Cursor::new(many), 1 << 20),
+            parse_head(&many, 1 << 20),
             Err(ParseError::BadRequest("too many headers"))
         ));
         // Right at the limits is not an overflow.
@@ -950,5 +943,204 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
         assert!(text.ends_with("\r\n\r\n"), "HEAD omits the body");
+    }
+
+    /// What the loop concludes about one request's bytes: the request
+    /// with its decoded body and the bytes consumed, or the refusal.
+    type Verdict = Result<(Request, usize), ParseError>;
+
+    /// Body limit for the property tests: small enough that generated
+    /// chunked bodies cross it.
+    const PROP_MAX_BODY: usize = 64;
+
+    /// Deliver `wire` in pieces ending at each of `cuts` (ascending), then
+    /// end of input, through the same phases and in the same order as the
+    /// event loop: buffer, run [`parse_head`] only once
+    /// [`find_head_end`]/[`head_overflow`] (or end of input) says it can
+    /// reach a verdict, then push what follows through the
+    /// [`BodyReader`].
+    fn deliver(wire: &[u8], cuts: &[usize]) -> Verdict {
+        let mut buf = Vec::new();
+        let mut head: Option<(Request, BodyReader)> = None;
+        let mut decoded = Vec::new();
+        let mut consumed = 0;
+        let mut at = 0;
+        for &cut in cuts.iter().chain(std::iter::once(&wire.len())) {
+            buf.extend_from_slice(&wire[at..cut]);
+            at = cut;
+            let eof = at == wire.len();
+            if head.is_none() {
+                if find_head_end(&buf).is_none() && !head_overflow(&buf) && !eof {
+                    continue;
+                }
+                let (request, body, used) = parse_head(&buf, PROP_MAX_BODY)?;
+                buf.drain(..used);
+                consumed += used;
+                head = Some((request, body));
+            }
+            let (request, body) = head.as_mut().expect("head parsed above");
+            let (used, done) = body.push(&buf, PROP_MAX_BODY, &mut |chunk| {
+                decoded.extend_from_slice(chunk)
+            })?;
+            buf.drain(..used);
+            consumed += used;
+            if done {
+                request.body = decoded;
+                return Ok((head.expect("head parsed above").0, consumed));
+            }
+            if eof {
+                return Err(body.truncated());
+            }
+        }
+        unreachable!("end of input always reaches a verdict")
+    }
+
+    /// Check `wire` at whole-buffer delivery against every single split,
+    /// byte-at-a-time delivery, and the cuts in `extra`.
+    fn split_invariant(wire: &[u8], extra: &[u16]) -> Result<(), String> {
+        let whole = deliver(wire, &[]);
+        let mut schedules: Vec<Vec<usize>> = (0..=wire.len()).map(|cut| vec![cut]).collect();
+        schedules.push((0..wire.len()).collect());
+        let mut cuts: Vec<usize> = extra
+            .iter()
+            .map(|&c| usize::from(c) % (wire.len() + 1))
+            .collect();
+        cuts.sort_unstable();
+        schedules.push(cuts);
+        for cuts in schedules {
+            let split = deliver(wire, &cuts);
+            if split != whole {
+                return Err(format!(
+                    "cuts {cuts:?}: {split:?}\n whole-buffer verdict: {whole:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Wire fragments that steer random input into the parser's branches.
+    fn fragment() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            4 => any::<u8>().prop_map(|b| vec![b]),
+            3 => Just(b"\r\n".to_vec()),
+            2 => Just(b"\n".to_vec()),
+            1 => Just(b"\r".to_vec()),
+            2 => Just(b" ".to_vec()),
+            1 => Just(b":".to_vec()),
+            2 => Just(b"5".to_vec()),
+            1 => Just(b"a".to_vec()),
+            1 => Just(b"0\r\n\r\n".to_vec()),
+            2 => Just(b"POST /lint HTTP/1.1\r\n".to_vec()),
+            1 => Just(b"GET /x?a=%41 HTTP/1.0\n".to_vec()),
+            2 => Just(b"Content-Length: 5\r\n".to_vec()),
+            2 => Just(b"Transfer-Encoding: chunked\r\n".to_vec()),
+        ]
+    }
+
+    /// A well-formed request carrying `body`: chunked when `chunked`,
+    /// cut into chunks of the `sizes` in turn (the rest as one chunk with
+    /// an extension), with a trailer when `trailer`; `Content-Length`
+    /// framed otherwise. A pipelined request line follows it.
+    fn well_formed(body: &[u8], sizes: &[usize], chunked: bool, trailer: bool) -> Vec<u8> {
+        let mut wire = Vec::new();
+        if chunked {
+            wire.extend_from_slice(
+                b"POST /lint?format=terse HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            );
+            let mut rest = body;
+            for &size in sizes {
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                if chunk.is_empty() {
+                    break;
+                }
+                wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                wire.extend_from_slice(chunk);
+                wire.extend_from_slice(b"\r\n");
+                rest = tail;
+            }
+            if !rest.is_empty() {
+                wire.extend_from_slice(format!("{:X};ext=1\r\n", rest.len()).as_bytes());
+                wire.extend_from_slice(rest);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire.extend_from_slice(b"0\r\n");
+            if trailer {
+                wire.extend_from_slice(b"X-Trailer: v\r\n");
+            }
+            wire.extend_from_slice(b"\r\n");
+        } else {
+            let head = format!(
+                "POST /lint HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            );
+            wire.extend_from_slice(head.as_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire.extend_from_slice(b"GET /next HTTP/1.1\r\n");
+        wire
+    }
+
+    /// One edit, decoded from a random `u64`: overwrite, delete or insert
+    /// a byte, or duplicate a short run.
+    fn mutate(wire: &mut Vec<u8>, edit: u64) {
+        let [kind, byte, a, b, ..] = edit.to_le_bytes();
+        let at = usize::from(u16::from_le_bytes([a, b])) % (wire.len() + 1);
+        match kind % 4 {
+            0 if at < wire.len() => wire[at] = byte,
+            1 if at < wire.len() => {
+                wire.remove(at);
+            }
+            2 => wire.insert(at, byte),
+            _ => {
+                let end = (at + usize::from(byte % 8)).min(wire.len());
+                let run = wire[at..end].to_vec();
+                wire.splice(at..at, run);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_reach_the_same_verdict_at_every_split(
+            parts in proptest::collection::vec(fragment(), 0..40),
+            extra in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let wire = parts.concat();
+            let outcome = split_invariant(&wire, &extra);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        #[test]
+        fn mutated_requests_reach_the_same_verdict_at_every_split(
+            body in proptest::collection::vec(any::<u8>(), 0..80),
+            sizes in proptest::collection::vec(1usize..20, 0..6),
+            chunked in any::<bool>(),
+            trailer in any::<bool>(),
+            edits in proptest::collection::vec(any::<u64>(), 0..4),
+            extra in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let mut wire = well_formed(&body, &sizes, chunked, trailer);
+            if edits.is_empty() {
+                // Unmutated, the request parses to exactly its body — or,
+                // past the limit, is refused as too large.
+                match deliver(&wire, &[]) {
+                    Ok((request, consumed)) => {
+                        prop_assert_eq!(&request.body, &body);
+                        prop_assert_eq!(&wire[consumed..], &b"GET /next HTTP/1.1\r\n"[..]);
+                    }
+                    Err(e) => prop_assert!(
+                        body.len() > PROP_MAX_BODY && matches!(e, ParseError::BodyTooLarge { .. }),
+                        "{e:?}"
+                    ),
+                }
+            }
+            for &edit in &edits {
+                mutate(&mut wire, edit);
+            }
+            let outcome = split_invariant(&wire, &extra);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 }

@@ -20,17 +20,17 @@
 //!
 //! No TLS, no external dependencies: `TcpListener`, a hand-declared
 //! readiness shim, and the existing service crate. Bodies arrive either
-//! `Content-Length`-framed or `Transfer-Encoding: chunked`. Two serving
-//! modes share every byte of protocol behavior
-//! ([`ServerMode`]): the default event loop multiplexes all connections
-//! onto one thread (10k idle keep-alive connections cost a buffer each,
-//! not a stack each), while the threaded fallback spends a thread per
-//! connection. In event mode, `POST /lint` bodies are fed straight into
-//! an incremental [`weblint_core::LintSession`] as their bytes land —
-//! per-connection memory stays O(tokenizer state), not O(body), and a
-//! `max_findings` budget can cut the read short. Shutdown is graceful in
-//! both modes — accepting stops, every in-flight request completes and
-//! is answered, all threads are joined.
+//! `Content-Length`-framed or `Transfer-Encoding: chunked`. One readiness
+//! loop multiplexes every connection onto one thread, so 10k idle
+//! keep-alive connections cost a buffer each, not a stack each; the
+//! request parser is incremental, advancing as bytes land. `POST /lint`
+//! bodies rendered as text are fed straight into an incremental
+//! [`weblint_core::LintSession`] as they arrive — per-connection memory
+//! stays O(tokenizer state), not O(body), and a `max_findings` budget can
+//! cut the lint short — while every other route runs on a small
+//! dispatcher pool in front of the lint workers. Shutdown is graceful:
+//! accepting stops, every in-flight request completes and is answered,
+//! all threads are joined.
 //!
 //! # Examples
 //!
@@ -64,12 +64,9 @@ mod server;
 #[allow(unsafe_code)]
 mod sys;
 
-pub use http::{
-    parse_request, percent_decode, write_response, ParseError, Request, Response, MAX_HEADERS,
-    MAX_LINE,
-};
+pub use http::{percent_decode, write_response, Request, Response, MAX_HEADERS, MAX_LINE};
 pub use metrics::HttpMetrics;
-pub use server::{HttpServer, ServerConfig, ServerHandle, ServerMode};
+pub use server::{HttpServer, ServerConfig, ServerHandle};
 
 // Re-exported so callers configuring a server see one coherent surface.
 pub use weblint_service::ServiceMetrics;

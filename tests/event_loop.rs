@@ -9,8 +9,9 @@
 //! genuinely run-dependent lines (readiness wakeups, queue/lint timing,
 //! per-worker distribution, streamed-vs-pooled job counts) masked.
 //!
-//! The golden was first written from both serving modes the server then
-//! had (a readiness loop and thread-per-connection), asserted equal.
+//! The golden was first written from two independent server
+//! implementations (a readiness loop and thread-per-connection) and
+//! asserted equal between them; it now pins the one that remains.
 //!
 //! Regenerate after an *intentional* protocol change with:
 //!
@@ -22,7 +23,7 @@ use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
-use weblint::httpd::{client, HttpServer, ServerConfig, ServerMode};
+use weblint::httpd::{client, HttpServer, ServerConfig};
 use weblint::service::ServiceConfig;
 use weblint::site::{SharedWeb, SimulatedWeb};
 
@@ -37,9 +38,8 @@ fn demo_web() -> SharedWeb {
     SharedWeb::new(web)
 }
 
-fn server(mode: ServerMode) -> weblint::httpd::ServerHandle {
+fn server() -> weblint::httpd::ServerHandle {
     let config = ServerConfig {
-        mode,
         service: ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
@@ -174,9 +174,11 @@ fn replay(handle: &weblint::httpd::ServerHandle) -> (Vec<Exchange>, String) {
         .lines()
         .filter(|line| {
             // Readiness wakeups, timing and per-worker distribution depend
-            // on scheduling; the service job/cache counters and the
-            // streamed-request count depend on which requests stream on
-            // the loop thread and which ride the worker pool.
+            // on scheduling. The service job/cache counters and the
+            // streamed-request count differed between the two servers the
+            // golden was cut from (one streamed text lints, the other
+            // pooled them); they stay masked so the file remains the one
+            // both agreed on.
             let line = line.trim_start();
             ![
                 "loop:",
@@ -239,42 +241,14 @@ fn render_golden(exchanges: &[Exchange], metrics: &str) -> String {
 }
 
 #[test]
-fn responses_are_byte_identical_across_modes() {
-    let event = server(ServerMode::EventLoop);
-    let threaded = server(ServerMode::Threaded);
-    let (event_exchanges, event_metrics) = replay(&event);
-    let (threaded_exchanges, threaded_metrics) = replay(&threaded);
-    for ((name, _), (from_event, from_threaded)) in corpus()
-        .iter()
-        .zip(event_exchanges.iter().zip(&threaded_exchanges))
-    {
-        assert!(
-            from_event == from_threaded,
-            "{name}: modes disagree\n-- event-loop --\n{}\n-- threaded --\n{}",
-            String::from_utf8_lossy(&from_event.response),
-            String::from_utf8_lossy(&from_threaded.response)
-        );
-    }
-    assert!(
-        event_metrics == threaded_metrics,
-        "metrics disagree\n-- event-loop --\n{event_metrics}\n-- threaded --\n{threaded_metrics}"
-    );
+fn responses_match_the_golden_exchanges() {
+    let handle = server();
+    let (exchanges, metrics) = replay(&handle);
+    let (http, _) = handle.shutdown();
+    assert_eq!(http.connections_accepted, corpus().len() as u64 + 1);
+    assert_eq!(http.open_connections, 0);
 
-    let (event_http, _) = event.shutdown();
-    let (threaded_http, _) = threaded.shutdown();
-    assert_eq!(
-        event_http.connections_accepted,
-        threaded_http.connections_accepted
-    );
-    assert_eq!(event_http.requests_served, threaded_http.requests_served);
-    assert_eq!(event_http.parse_errors, threaded_http.parse_errors);
-    assert_eq!(event_http.body_rejections, threaded_http.body_rejections);
-    assert_eq!(event_http.bytes_in, threaded_http.bytes_in);
-    assert_eq!(event_http.keepalive_reuse, threaded_http.keepalive_reuse);
-    assert_eq!(event_http.open_connections, 0);
-    assert_eq!(threaded_http.open_connections, 0);
-
-    let actual = render_golden(&event_exchanges, &event_metrics);
+    let actual = render_golden(&exchanges, &metrics);
     if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &actual).unwrap();
         return;
@@ -291,58 +265,51 @@ fn responses_are_byte_identical_across_modes() {
     assert_eq!(expected, actual, "golden and actual differ in length");
 }
 
-/// The keep-alive soak both modes must survive: many concurrent
-/// persistent connections, each serving a request, idling, then serving
-/// another. The event loop holds them all on one thread; the threaded
-/// server spends a thread each — both must answer every request and
-/// drain cleanly. (CI runs this under `timeout`; a deadlocked loop
-/// hangs here first.)
+/// The keep-alive soak: many concurrent persistent connections, each
+/// serving a request, idling, then serving another, all held on the one
+/// loop thread — every request must be answered and the server must
+/// drain cleanly. (CI runs this under `timeout`; a deadlocked loop hangs
+/// here first.)
 #[test]
-fn keep_alive_soak_in_both_modes() {
-    // 1k in event mode (the C10k bench pushes further); the threaded
-    // server gets the same soak so the fallback stays honest — at a
-    // count its thread-per-connection design can still carry.
-    for (mode, conns) in [(ServerMode::EventLoop, 1000), (ServerMode::Threaded, 1000)] {
-        // A long idle timeout: while one connection is served, the other
-        // 999 sit idle, and on a loaded single-core runner a full round
-        // can outlast the default 5s.
-        let config = ServerConfig {
-            mode,
-            read_timeout: std::time::Duration::from_secs(120),
-            service: ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let handle = HttpServer::bind(config).unwrap().start();
-        let addr = handle.addr();
-        let mut sockets = Vec::with_capacity(conns);
-        for i in 0..conns {
-            let stream = TcpStream::connect(addr)
-                .unwrap_or_else(|e| panic!("{mode:?}: connect {i} failed: {e}"));
-            stream.set_nodelay(true).unwrap();
-            sockets.push((stream.try_clone().unwrap(), BufReader::new(stream)));
-        }
-        // Two rounds over every connection, with the whole population
-        // held open in between — the second round is pure keep-alive
-        // reuse.
-        for round in 0..2 {
-            for (i, (stream, reader)) in sockets.iter_mut().enumerate() {
-                client::write_request(stream, "GET", "/health", &[], b"").unwrap();
-                let response = client::read_response(reader)
-                    .unwrap_or_else(|e| panic!("{mode:?}: round {round} conn {i}: {e}"));
-                assert_eq!(response.status, 200, "{mode:?} round {round} conn {i}");
-                assert_eq!(response.header("connection"), Some("keep-alive"));
-            }
-        }
-        let open_at_peak = handle.http_metrics().open_connections;
-        drop(sockets);
-        let (http, _) = handle.shutdown();
-        assert_eq!(http.connections_accepted, conns as u64, "{mode:?}");
-        assert_eq!(http.requests_served, 2 * conns as u64, "{mode:?}");
-        assert_eq!(http.keepalive_reuse, conns as u64, "{mode:?}");
-        assert_eq!(open_at_peak, conns as u64, "{mode:?}");
-        assert_eq!(http.timeouts, 0, "{mode:?}: nothing should have timed out");
+fn keep_alive_soak() {
+    // 1k connections; the C10k bench pushes further.
+    const CONNS: usize = 1000;
+    // A long idle timeout: while one connection is served, the other 999
+    // sit idle, and on a loaded single-core runner a full round can
+    // outlast the default 5s.
+    let config = ServerConfig {
+        read_timeout: std::time::Duration::from_secs(120),
+        service: ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = HttpServer::bind(config).unwrap().start();
+    let addr = handle.addr();
+    let mut sockets = Vec::with_capacity(CONNS);
+    for i in 0..CONNS {
+        let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i} failed: {e}"));
+        stream.set_nodelay(true).unwrap();
+        sockets.push((stream.try_clone().unwrap(), BufReader::new(stream)));
     }
+    // Two rounds over every connection, with the whole population held
+    // open in between — the second round is pure keep-alive reuse.
+    for round in 0..2 {
+        for (i, (stream, reader)) in sockets.iter_mut().enumerate() {
+            client::write_request(stream, "GET", "/health", &[], b"").unwrap();
+            let response = client::read_response(reader)
+                .unwrap_or_else(|e| panic!("round {round} conn {i}: {e}"));
+            assert_eq!(response.status, 200, "round {round} conn {i}");
+            assert_eq!(response.header("connection"), Some("keep-alive"));
+        }
+    }
+    let open_at_peak = handle.http_metrics().open_connections;
+    drop(sockets);
+    let (http, _) = handle.shutdown();
+    assert_eq!(http.connections_accepted, CONNS as u64);
+    assert_eq!(http.requests_served, 2 * CONNS as u64);
+    assert_eq!(http.keepalive_reuse, CONNS as u64);
+    assert_eq!(open_at_peak, CONNS as u64);
+    assert_eq!(http.timeouts, 0, "nothing should have timed out");
 }
