@@ -28,8 +28,12 @@ use weblint_httpd::client;
 /// `BENCH_E19.json` (56399, 56248 and 26868 req/s), rounded up. The loop
 /// itself measured 76229, 74455 and 61909 req/s there.
 const BURST_FLOORS: &[(usize, f64)] = &[(64, 47_940.0), (256, 47_811.0), (1024, 22_838.0)];
-/// Bursts per timed shape pass.
+/// Bursts per timed shape pass: at least 4, and enough that every width
+/// times at least [`MIN_TIMED_REQUESTS`] responses. At 64 connections 4
+/// bursts last a few milliseconds, short enough for one scheduler stall
+/// on a shared host to halve the measured rate.
 const ROUNDS: usize = 4;
+const MIN_TIMED_REQUESTS: usize = 4096;
 /// Idle population for the flat-memory phase (`C10K_IDLE` overrides).
 const IDLE_CONNS: usize = 10_000;
 /// Idle-population memory bound: bytes of server RSS growth per
@@ -202,11 +206,12 @@ fn bench_bursts(c: &mut Criterion) {
     // against its absolute floor.
     for &(count, floor) in BURST_FLOORS {
         let mut cell = Cell::new(count);
+        let rounds = ROUNDS.max(MIN_TIMED_REQUESTS / count);
         let start = Instant::now();
-        for _ in 0..ROUNDS {
+        for _ in 0..rounds {
             cell.burst();
         }
-        let rps = (count * ROUNDS) as f64 / start.elapsed().as_secs_f64();
+        let rps = (count * rounds) as f64 / start.elapsed().as_secs_f64();
         println!("  {count:>5} conn(s): {rps:>8.0} req/s  (floor {floor:.0})");
         assert!(
             rps >= floor,
