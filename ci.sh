@@ -153,8 +153,11 @@ timeout 300 cargo bench -p weblint-bench --bench c10k -- --test
 # fall (every corpus document at every offset of a sliding window,
 # big.html windows, seeded random partitions, splits inside multi-byte
 # characters); the bench shape pass gates time-to-first-finding flatness
-# across a 100x size range and the one-shot throughput toll. The serve
-# smoke above already exercises the chunked-upload wire path end to end.
+# across a 100x size range and the streaming toll, timed on one warmed
+# session: streamed >= 0.70x one-shot on big.html (one 2 MB text token)
+# and >= 0.75x on a tag-dense 256 KiB generated page, where a per-token
+# cost in the feed path would show. The serve smoke above already
+# exercises the chunked-upload wire path end to end.
 timeout 120 cargo test -q --release --test streaming_parity
 timeout 180 cargo bench -p weblint-bench --bench streaming -- --test
 

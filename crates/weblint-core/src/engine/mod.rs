@@ -27,13 +27,14 @@ pub(crate) use open::{Open, NO_FIX};
 pub(crate) use scratch::Scratch;
 pub(crate) use view::SrcView;
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use weblint_html::HtmlSpec;
 use weblint_rules::pattern::PatternRule;
 use weblint_rules::profile::Profile;
 use weblint_rules::{applies, kind_mask, Rule};
-use weblint_tokenizer::{Pos, Span, Step, Token, TokenKind, Tokenizer};
+use weblint_tokenizer::{Pos, Span, Token, TokenKind, Tokenizer};
 
 use crate::fix::{Edit, Fix};
 use crate::message::Diagnostic;
@@ -67,7 +68,7 @@ pub(crate) fn check_with(
     let t0 = profile.is_some().then(Instant::now);
     let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
     checker.profile = profile.as_deref_mut();
-    drive(&mut checker, src);
+    drive(&mut checker, Tokenizer::new(src));
     let diags = checker.finish();
     if let (Some(profile), Some(t0)) = (profile, t0) {
         profile.total_nanos += t0.elapsed().as_nanos() as u64;
@@ -76,15 +77,24 @@ pub(crate) fn check_with(
     diags
 }
 
-/// Pump every token of an in-memory document through the checker, via the
-/// same eof-aware [`Tokenizer::step`] the streaming session uses —
-/// `step(true)` is the whole-input case of the one engine path, with none
-/// of the stream path's copying or prefix-stability checks.
-fn drive(checker: &mut Checker<'_>, src: &str) {
-    let mut tokens = Tokenizer::new(src);
-    while let Step::Token(token) = tokens.step(true) {
+/// The engine's one token loop: pump every token a source yields through
+/// the checker. A one-shot lint hands it a [`Tokenizer`] over the whole
+/// document (whose iterator is `step(true)`, with none of the stream path's
+/// copying or prefix-stability checks); a streamed feed hands it the
+/// stream's [`weblint_tokenizer::Drain`], which yields the tokens already
+/// stable, rebased onto document coordinates.
+pub(crate) fn drive<'t>(checker: &mut Checker<'_>, tokens: impl Iterator<Item = Token<'t>>) {
+    for token in tokens {
         checker.on_token(&token);
     }
+}
+
+/// The registry rules that inspect comments, as a rule mask. Fixed per
+/// build, so it is computed once rather than on every checker a feed
+/// resumes.
+fn comment_rules() -> u64 {
+    static MASK: OnceLock<u64> = OnceLock::new();
+    *MASK.get_or_init(|| kind_mask(applies::COMMENT))
 }
 
 /// The per-document engine state that must survive between feeds of a
@@ -106,8 +116,9 @@ pub(crate) struct DocState {
     pub(crate) end_pos: Pos,
     /// The enabled-rule mask, computed from the config on the first
     /// resume and reused for every later one. A streamed document is
-    /// resumed once per token, and recomputing the mask (a registry walk
-    /// with a hash lookup per rule) there would dominate the feed path.
+    /// resumed once per feed, and recomputing the mask (a registry walk
+    /// with a hash lookup per rule) for every small feed would rival the
+    /// tokens it lints.
     pub(crate) mask: Option<u64>,
 }
 
@@ -199,7 +210,7 @@ impl<'a> Checker<'a> {
             mask,
             custom,
             profile: None,
-            check_comments: mask & kind_mask(applies::COMMENT) != 0,
+            check_comments: mask & comment_rules() != 0,
         }
     }
 

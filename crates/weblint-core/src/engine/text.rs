@@ -1,7 +1,9 @@
 //! Text, comment and DOCTYPE handling.
 
 use weblint_rules::Rule;
-use weblint_tokenizer::{scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, Text};
+use weblint_tokenizer::{
+    scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, SpanWalker, Text,
+};
 
 use crate::fix::{Edit, Fix};
 
@@ -68,43 +70,49 @@ impl Checker<'_> {
         }
     }
 
+    /// Entity checks over a text run. The scanner reports byte ranges;
+    /// only the references that draw a diagnostic get a line and column,
+    /// walked forward from the run's start.
     fn check_entities(&mut self, raw: &str, span: Span) {
-        for entity in scan_entities(raw, span.start) {
+        let mut spans = SpanWalker::new(raw, span.start);
+        for entity in scan_entities(raw) {
             if entity.numeric {
                 if entity.code_point().is_none() {
                     self.emit(
                         Rule::UnknownEntity,
-                        entity.span,
+                        spans.span(entity.range),
                         format!(
                             "numeric character reference &{}; is out of range",
                             entity.name
                         ),
                     );
                 } else if !entity.terminated {
+                    let espan = spans.span(entity.range);
                     self.emit_fix(
                         Rule::UnterminatedEntity,
-                        entity.span,
-                        entity.span,
+                        espan,
+                        espan,
                         format!(
                             "entity reference &{} is missing the trailing `;'",
                             entity.name
                         ),
-                        terminate_entity(entity.span),
+                        terminate_entity(espan),
                     );
                 }
                 continue;
             }
             if self.spec.entity(entity.name).is_some() {
                 if !entity.terminated {
+                    let espan = spans.span(entity.range);
                     self.emit_fix(
                         Rule::UnterminatedEntity,
-                        entity.span,
-                        entity.span,
+                        espan,
+                        espan,
                         format!(
                             "entity reference &{} is missing the trailing `;'",
                             entity.name
                         ),
-                        terminate_entity(entity.span),
+                        terminate_entity(espan),
                     );
                 }
             } else if entity.terminated {
@@ -117,7 +125,7 @@ impl Checker<'_> {
                 if let Some(s) = &suggestion {
                     msg.push_str(&format!(" (perhaps you meant &{s};?)"));
                 }
-                let espan = entity.span;
+                let espan = spans.span(entity.range);
                 self.emit_fix(
                     Rule::UnknownEntity,
                     espan,
@@ -135,7 +143,7 @@ impl Checker<'_> {
                     },
                 );
             } else {
-                let espan = entity.span;
+                let espan = spans.span(entity.range);
                 self.emit_fix(
                     Rule::LiteralMetacharacter,
                     espan,
@@ -162,14 +170,17 @@ impl Checker<'_> {
             .find(|candidate| candidate != name && self.spec.entity(candidate).is_some())
     }
 
+    /// Literal metacharacter checks over a text run, positioned lazily as
+    /// in [`Checker::check_entities`].
     fn check_metachars(&mut self, raw: &str, span: Span) {
-        for hit in scan_metachars(raw, span.start) {
+        let mut spans = SpanWalker::new(raw, span.start);
+        for hit in scan_metachars(raw) {
             let (message, escaped) = match hit.kind {
                 MetaCharKind::Lt => ("literal `<' should be written as &lt;", "&lt;"),
                 MetaCharKind::Gt => ("literal `>' should be written as &gt;", "&gt;"),
                 MetaCharKind::Amp => ("literal `&' should be written as &amp;", "&amp;"),
             };
-            let hspan = hit.span;
+            let hspan = spans.span(hit.range);
             self.emit_fix(
                 Rule::LiteralMetacharacter,
                 hspan,

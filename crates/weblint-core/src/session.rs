@@ -14,8 +14,10 @@
 //! diagnostics as soon as their trigger token closes, then
 //! [`LintSession::finish`] at end of input for the end-of-document checks.
 //! The diagnostics, concatenated, are byte-identical to one-shot output
-//! regardless of where the chunk boundaries fall — both paths drive the
-//! same eof-aware tokenizer step and the same checker. Memory while
+//! regardless of where the chunk boundaries fall — both paths run the same
+//! token loop (`engine::drive`) and the same checker; only the token source
+//! differs (a whole-document tokenizer, or the stream's drain, with the
+//! checker resumed once per feed). Memory while
 //! streaming is bounded by the engine state plus the largest single token,
 //! not the document size.
 
@@ -180,7 +182,7 @@ impl LintSession {
         }
         let state = self.stream.as_mut().expect("stream state just ensured");
         state.tok.feed(chunk);
-        Self::drain(&self.spec, &self.config, &mut self.scratch, state);
+        Self::drain(&self.spec, &self.config, &mut self.scratch, state, false);
         // Hold back any diagnostic an element still on the stacks may yet
         // amend (a deferred obsolete-element rename attaches its fix when
         // the matching end tag arrives); everything earlier is final.
@@ -204,17 +206,13 @@ impl LintSession {
         }
         let mut state = self.stream.take().expect("stream state just ensured");
         state.tok.finish();
-        Self::drain(&self.spec, &self.config, &mut self.scratch, &mut state);
-        let view = SrcView::resumed("", state.tok.pos().offset);
-        let mut checker = Checker::resume(
+        Self::drain(
             &self.spec,
             &self.config,
-            view,
             &mut self.scratch,
-            &mut state.doc,
+            &mut state,
+            true,
         );
-        checker.run_eof_checks();
-        checker.suspend(&mut state.doc);
         self.documents += 1;
         let yielded = state.yielded.min(state.doc.diags.len());
         state.doc.diags.split_off(yielded).into_iter()
@@ -235,17 +233,24 @@ impl LintSession {
         self.stream.as_ref().map_or(0, |s| s.tok.buffered())
     }
 
-    /// Run every token the stream can currently complete through the
-    /// checker, suspending the per-document state between tokens so the
-    /// borrow of the stream buffer never outlives one callback.
-    fn drain(spec: &HtmlSpec, config: &LintConfig, scratch: &mut Scratch, state: &mut StreamState) {
-        let doc = &mut state.doc;
-        state.tok.drain_tokens(|token, slice, offset| {
-            let view = SrcView::resumed(slice, offset);
-            let mut checker = Checker::resume(spec, config, view, scratch, doc);
-            checker.on_token(&token);
-            checker.suspend(doc);
-        });
+    /// Run every token the stream can currently complete through one
+    /// checker, resumed once for the whole feed and suspended at its end,
+    /// then — at the end of the document — the end-of-document checks.
+    fn drain(
+        spec: &HtmlSpec,
+        config: &LintConfig,
+        scratch: &mut Scratch,
+        state: &mut StreamState,
+        eof: bool,
+    ) {
+        let mut tokens = state.tok.drain();
+        let view = SrcView::resumed(tokens.source(), tokens.offset());
+        let mut checker = Checker::resume(spec, config, view, scratch, &mut state.doc);
+        engine::drive(&mut checker, &mut tokens);
+        if eof {
+            checker.run_eof_checks();
+        }
+        checker.suspend(&mut state.doc);
     }
 
     /// Check a file on disk.

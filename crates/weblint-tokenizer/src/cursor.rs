@@ -195,6 +195,33 @@ pub(crate) fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
     hay[i..].iter().position(|&b| b == needle).map(|p| i + p)
 }
 
+/// Position of the first byte of `hay` equal to any of `a`, `b` or `c` —
+/// [`memchr`] with three needles: each word is XORed with each broadcast
+/// needle and the three results go through the same zero-byte test.
+pub(crate) fn memchr3(a: u8, b: u8, c: u8, hay: &[u8]) -> Option<usize> {
+    const LANES: usize = std::mem::size_of::<usize>();
+    const LO: usize = usize::from_ne_bytes([0x01; LANES]);
+    const HI: usize = usize::from_ne_bytes([0x80; LANES]);
+    let has_zero = |x: usize| x.wrapping_sub(LO) & !x & HI != 0;
+    let (wa, wb, wc) = (
+        usize::from_ne_bytes([a; LANES]),
+        usize::from_ne_bytes([b; LANES]),
+        usize::from_ne_bytes([c; LANES]),
+    );
+    let mut i = 0;
+    while i + LANES <= hay.len() {
+        let chunk = usize::from_ne_bytes(hay[i..i + LANES].try_into().unwrap());
+        if has_zero(chunk ^ wa) || has_zero(chunk ^ wb) || has_zero(chunk ^ wc) {
+            break;
+        }
+        i += LANES;
+    }
+    hay[i..]
+        .iter()
+        .position(|&x| x == a || x == b || x == c)
+        .map(|p| i + p)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +309,32 @@ mod tests {
         let mut long = long;
         long[83] = b'y';
         assert_eq!(memchr(b'y', &long), Some(83));
+    }
+
+    #[test]
+    fn memchr3_matches_naive_search() {
+        // Every length and every alignment of a haystack that puts each
+        // needle, and near-miss bytes, at varied word offsets.
+        let hay = b"plain text & more<tail>\x00\xff\x80 x&y<z>w \xc3\xa9 end of it all<";
+        let sets: [[u8; 3]; 4] = [*b"<>&", *b"&<>", [b'\x00', b'\xff', b'q'], *b"qrs"];
+        for start in 0..hay.len() {
+            for end in start..=hay.len() {
+                let slice = &hay[start..end];
+                for [a, b, c] in sets {
+                    let expected = slice.iter().position(|&x| x == a || x == b || x == c);
+                    assert_eq!(
+                        memchr3(a, b, c, slice),
+                        expected,
+                        "{start}..{end} {a} {b} {c}"
+                    );
+                }
+            }
+        }
+        let mut long = [b'x'; 100];
+        assert_eq!(memchr3(b'<', b'>', b'&', &long), None);
+        long[83] = b'>';
+        long[91] = b'<';
+        assert_eq!(memchr3(b'<', b'>', b'&', &long), Some(83));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Scanner for entity references inside text and attribute values.
 
-use crate::pos::{Pos, Span};
+use std::ops::Range;
 
 /// One entity reference found in a text run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,8 +15,10 @@ pub struct EntityRef<'a> {
     /// A closing `;` was present. HTML tolerates its absence in some places
     /// but weblint warns about it.
     pub terminated: bool,
-    /// Span covering the whole reference including `&` (and `;` if present).
-    pub span: Span,
+    /// Byte range of the whole reference within the scanned text, from the
+    /// `&` through the `;` if present. [`crate::SpanWalker`] turns it into
+    /// a document span.
+    pub range: Range<usize>,
 }
 
 impl EntityRef<'_> {
@@ -36,8 +38,7 @@ impl EntityRef<'_> {
     }
 }
 
-/// Scan `text` (which starts at `base` in the source document) for entity
-/// references.
+/// Scan `text` for entity references, in order.
 ///
 /// Bare ampersands that do not begin an entity reference are *not* reported
 /// here — see [`crate::scan_metachars`].
@@ -45,55 +46,47 @@ impl EntityRef<'_> {
 /// # Examples
 ///
 /// ```
-/// use weblint_tokenizer::{scan_entities, Pos};
+/// use weblint_tokenizer::scan_entities;
 ///
-/// let refs = scan_entities("caf&eacute; &#224; &undefined x", Pos::START);
+/// let refs = scan_entities("caf&eacute; &#224; &undefined x");
 /// assert_eq!(refs.len(), 3);
 /// assert_eq!(refs[0].name, "eacute");
+/// assert_eq!(refs[0].range, 3..11);
 /// assert!(refs[1].numeric);
 /// assert!(!refs[2].terminated);
 /// ```
-pub fn scan_entities<'a>(text: &'a str, base: Pos) -> Vec<EntityRef<'a>> {
+pub fn scan_entities(text: &str) -> Vec<EntityRef<'_>> {
     let mut out = Vec::new();
-    let mut pos = base;
     let bytes = text.as_bytes();
-    // Jump ampersand to ampersand; the text between them only needs its
-    // line/column accounting, which advance_str does byte-wise. Clean text
-    // costs one memchr miss and nothing else.
+    // Jump ampersand to ampersand: clean text costs one memchr miss.
     let mut i = 0;
     while let Some(j) = crate::cursor::memchr(b'&', &bytes[i..]) {
         let amp = i + j;
-        pos.advance_str(&text[i..amp]);
-        let start = pos;
         // Decide whether this begins an entity reference.
-        let (name_len, numeric, hex) = entity_name_len(&text[amp + 1..]);
+        let (name_len, numeric, hex) = entity_name_len(&bytes[amp + 1..]);
         if name_len == 0 {
-            pos.advance('&');
             i = amp + 1;
             continue;
         }
         let name = &text[amp + 1..amp + 1 + name_len];
         let terminated = bytes.get(amp + 1 + name_len) == Some(&b';');
-        // Advance over '&', the name, and the optional ';' (all ASCII).
-        let total = 1 + name_len + usize::from(terminated);
-        pos.advance_str(&text[amp..amp + total]);
-        i = amp + total;
+        i = amp + 1 + name_len + usize::from(terminated);
         out.push(EntityRef {
             name,
             numeric,
             hex,
             terminated,
-            span: Span::new(start, pos),
+            range: amp..i,
         });
     }
     out
 }
 
-/// Length in bytes of the entity name beginning at the start of `rest`
-/// (after the `&`), with flags for numeric and hex forms. Returns 0 when
-/// `rest` does not begin an entity reference.
-fn entity_name_len(rest: &str) -> (usize, bool, bool) {
-    let bytes = rest.as_bytes();
+/// Length in bytes of the entity name at the start of `bytes` (the text
+/// after an `&`), with flags for numeric and hex forms. Returns 0 when
+/// `bytes` does not begin an entity reference; the metacharacter scan
+/// uses that to leave such an `&` to the entity checks.
+pub(crate) fn entity_name_len(bytes: &[u8]) -> (usize, bool, bool) {
     match bytes.first() {
         Some(b'#') => {
             let hex = matches!(bytes.get(1), Some(b'x') | Some(b'X'));
@@ -136,18 +129,17 @@ mod tests {
 
     #[test]
     fn named_entity_terminated() {
-        let refs = scan_entities("&amp;", Pos::START);
+        let refs = scan_entities("&amp;");
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].name, "amp");
         assert!(refs[0].terminated);
         assert!(!refs[0].numeric);
-        assert_eq!(refs[0].span.start.col, 1);
-        assert_eq!(refs[0].span.end.col, 6);
+        assert_eq!(refs[0].range, 0..5);
     }
 
     #[test]
     fn named_entity_unterminated() {
-        let refs = scan_entities("fish &chips tonight", Pos::START);
+        let refs = scan_entities("fish &chips tonight");
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].name, "chips");
         assert!(!refs[0].terminated);
@@ -155,7 +147,7 @@ mod tests {
 
     #[test]
     fn numeric_decimal() {
-        let refs = scan_entities("&#224;", Pos::START);
+        let refs = scan_entities("&#224;");
         assert_eq!(refs[0].name, "#224");
         assert!(refs[0].numeric);
         assert!(!refs[0].hex);
@@ -164,7 +156,7 @@ mod tests {
 
     #[test]
     fn numeric_hex() {
-        let refs = scan_entities("&#xE0; and &#X41;", Pos::START);
+        let refs = scan_entities("&#xE0; and &#X41;");
         assert_eq!(refs[0].code_point(), Some('à'));
         assert!(refs[0].hex);
         assert_eq!(refs[1].code_point(), Some('A'));
@@ -172,32 +164,32 @@ mod tests {
 
     #[test]
     fn numeric_out_of_range_has_no_code_point() {
-        let refs = scan_entities("&#1114112;", Pos::START);
+        let refs = scan_entities("&#1114112;");
         assert_eq!(refs[0].code_point(), None);
     }
 
     #[test]
     fn bare_ampersand_is_not_a_reference() {
-        assert!(scan_entities("R & D, 100% &", Pos::START).is_empty());
-        assert!(scan_entities("&# alone", Pos::START).is_empty());
+        assert!(scan_entities("R & D, 100% &").is_empty());
+        assert!(scan_entities("&# alone").is_empty());
         // "&T," — 'T' is alphabetic so it *does* scan as an (unknown,
         // unterminated) entity. That is the behaviour weblint wants: it
         // cannot know 'T' is not an entity without the entity table.
-        let refs = scan_entities("AT&T x", Pos::START);
+        let refs = scan_entities("AT&T x");
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].name, "T");
     }
 
     #[test]
-    fn positions_track_lines() {
-        let refs = scan_entities("a\nb &amp; c", Pos::START);
-        assert_eq!(refs[0].span.start.line, 2);
-        assert_eq!(refs[0].span.start.col, 3);
+    fn ranges_are_byte_offsets_into_the_text() {
+        let refs = scan_entities("a\nb \u{e9} &amp; c &T");
+        assert_eq!(refs[0].range, 7..12);
+        assert_eq!(refs[1].range, 15..17);
     }
 
     #[test]
     fn multiple_entities() {
-        let refs = scan_entities("&lt;tag&gt;", Pos::START);
+        let refs = scan_entities("&lt;tag&gt;");
         assert_eq!(refs.len(), 2);
         assert_eq!(refs[0].name, "lt");
         assert_eq!(refs[1].name, "gt");
@@ -205,7 +197,7 @@ mod tests {
 
     #[test]
     fn name_stops_at_non_alphanumeric() {
-        let refs = scan_entities("&copy-left;", Pos::START);
+        let refs = scan_entities("&copy-left;");
         assert_eq!(refs[0].name, "copy");
         assert!(!refs[0].terminated);
     }

@@ -44,8 +44,8 @@ mod tokenizer;
 
 pub use entity::{scan_entities, EntityRef};
 pub use meta::{scan_metachars, MetaChar, MetaCharKind};
-pub use pos::{Pos, Span};
-pub use stream::StreamTokenizer;
+pub use pos::{Pos, Span, SpanWalker};
+pub use stream::{Drain, StreamTokenizer};
 pub use token::{Attr, AttrValue, Comment, Decl, Quote, Tag, Text, Token, TokenKind};
 pub use tokenizer::{Step, Tokenizer};
 

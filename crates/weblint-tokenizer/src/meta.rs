@@ -6,7 +6,10 @@
 //! construction a literal metacharacter; `>` in text is always literal; `&`
 //! is literal when it does not begin an entity reference.
 
-use crate::pos::{Pos, Span};
+use std::ops::Range;
+
+use crate::cursor::memchr3;
+use crate::entity::entity_name_len;
 
 /// Which metacharacter appeared literally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,79 +43,51 @@ impl MetaCharKind {
 }
 
 /// A literal metacharacter occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaChar {
     /// Which character.
     pub kind: MetaCharKind,
-    /// Where it appeared.
-    pub span: Span,
+    /// Its one-byte range within the scanned text. [`crate::SpanWalker`]
+    /// turns it into a document span.
+    pub range: Range<usize>,
 }
 
-/// Scan a text run (starting at `base` in the source) for literal `<`, `>`
-/// and `&` characters.
+/// Scan a text run for literal `<`, `>` and `&` characters, in order.
 ///
 /// # Examples
 ///
 /// ```
-/// use weblint_tokenizer::{scan_metachars, MetaCharKind, Pos};
+/// use weblint_tokenizer::{scan_metachars, MetaCharKind};
 ///
-/// let hits = scan_metachars("1 < 2 > 0 & true", Pos::START);
+/// let hits = scan_metachars("1 < 2 > 0 & true &amp;");
 /// let kinds: Vec<_> = hits.iter().map(|m| m.kind).collect();
 /// assert_eq!(
 ///     kinds,
 ///     [MetaCharKind::Lt, MetaCharKind::Gt, MetaCharKind::Amp]
 /// );
+/// assert_eq!(hits[2].range, 10..11);
 /// ```
-pub fn scan_metachars(text: &str, base: Pos) -> Vec<MetaChar> {
+pub fn scan_metachars(text: &str) -> Vec<MetaChar> {
     let mut out = Vec::new();
-    let mut pos = base;
     let bytes = text.as_bytes();
-    // Jump metacharacter to metacharacter; everything between them only
-    // needs line/column accounting, done byte-wise by advance_str. The
-    // candidate bytes are ASCII, so a byte hit is always a real character.
+    // Jump candidate to candidate a word at a time. The candidates are
+    // ASCII, so a byte hit is always a whole character.
     let mut i = 0;
-    while let Some(j) = bytes[i..]
-        .iter()
-        .position(|&b| matches!(b, b'<' | b'>' | b'&'))
-    {
+    while let Some(j) = memchr3(b'<', b'>', b'&', &bytes[i..]) {
         let hit = i + j;
-        pos.advance_str(&text[i..hit]);
-        let ch = bytes[hit] as char;
-        let kind = match ch {
-            '<' => Some(MetaCharKind::Lt),
-            '>' => Some(MetaCharKind::Gt),
-            _ => {
-                // '&' followed by a letter or '#'+digit scans as an entity
-                // reference; the entity checks own that case.
-                let next = bytes.get(hit + 1).copied();
-                let starts_entity = match next {
-                    Some(b) if b.is_ascii_alphabetic() => true,
-                    Some(b'#') => {
-                        let after = bytes.get(hit + 2).copied();
-                        matches!(after, Some(b) if b.is_ascii_digit())
-                            || (matches!(after, Some(b'x') | Some(b'X'))
-                                && matches!(bytes.get(hit + 3), Some(b) if b.is_ascii_hexdigit()))
-                    }
-                    _ => false,
-                };
-                if starts_entity {
-                    None
-                } else {
-                    Some(MetaCharKind::Amp)
-                }
-            }
-        };
-        if let Some(kind) = kind {
-            let start = pos;
-            let mut end = pos;
-            end.advance(ch);
-            out.push(MetaChar {
-                kind,
-                span: Span::new(start, end),
-            });
-        }
-        pos.advance(ch);
         i = hit + 1;
+        let kind = match bytes[hit] {
+            b'<' => MetaCharKind::Lt,
+            b'>' => MetaCharKind::Gt,
+            // A `&` that begins an entity reference belongs to the entity
+            // checks, which see it through `scan_entities`.
+            _ if entity_name_len(&bytes[i..]).0 != 0 => continue,
+            _ => MetaCharKind::Amp,
+        };
+        out.push(MetaChar {
+            kind,
+            range: hit..i,
+        });
     }
     out
 }
@@ -122,10 +97,7 @@ mod tests {
     use super::*;
 
     fn kinds(text: &str) -> Vec<MetaCharKind> {
-        scan_metachars(text, Pos::START)
-            .iter()
-            .map(|m| m.kind)
-            .collect()
+        scan_metachars(text).iter().map(|m| m.kind).collect()
     }
 
     #[test]
@@ -159,11 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn positions_are_exact() {
-        let hits = scan_metachars("ab\nc > d", Pos::START);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].span.start.line, 2);
-        assert_eq!(hits[0].span.start.col, 3);
+    fn ranges_are_byte_offsets_into_the_text() {
+        let hits = scan_metachars("ab\nc\u{e9} > d &");
+        assert_eq!(hits.len(), 2);
+        assert_eq!(hits[0].range, 7..8);
+        assert_eq!(hits[1].range, 11..12);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Source positions and spans.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A position within a source document.
 ///
@@ -138,6 +139,54 @@ impl fmt::Display for Span {
     }
 }
 
+/// Turns byte ranges within one text run into document spans, walking the
+/// line/column count forward from the run's start only as far as the last
+/// range asked for. The text scanners ([`crate::scan_entities`],
+/// [`crate::scan_metachars`]) report byte ranges, so a run whose hits are
+/// never reported costs no position bookkeeping at all.
+///
+/// Ranges must be asked for in ascending order of their start.
+///
+/// # Examples
+///
+/// ```
+/// use weblint_tokenizer::{Pos, SpanWalker};
+///
+/// let mut spans = SpanWalker::new("ab\ncd > e", Pos::new(4, 9, 100));
+/// let gt = spans.span(6..7);
+/// assert_eq!(gt.start, Pos::new(5, 4, 106));
+/// assert_eq!(gt.end, Pos::new(5, 5, 107));
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpanWalker<'a> {
+    text: &'a str,
+    /// Document position of `text[at]`.
+    pos: Pos,
+    at: usize,
+}
+
+impl<'a> SpanWalker<'a> {
+    /// A walker over `text`, whose first byte sits at `start`.
+    pub fn new(text: &'a str, start: Pos) -> SpanWalker<'a> {
+        SpanWalker {
+            text,
+            pos: start,
+            at: 0,
+        }
+    }
+
+    /// The document span of `text[range]`. `range` must lie on character
+    /// boundaries and start no earlier than the previous range did.
+    pub fn span(&mut self, range: Range<usize>) -> Span {
+        debug_assert!(range.start >= self.at, "ranges must ascend");
+        self.pos.advance_str(&self.text[self.at..range.start]);
+        self.at = range.start;
+        let mut end = self.pos;
+        end.advance_str(&self.text[range]);
+        Span::new(self.pos, end)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +249,34 @@ mod tests {
     fn span_out_of_bounds_is_empty() {
         let span = Span::new(Pos::new(1, 1, 100), Pos::new(1, 1, 105));
         assert_eq!(span.slice("short"), "");
+    }
+
+    #[test]
+    fn span_walker_matches_per_char_advance() {
+        let text = "x\n\u{e9}t\u{e9} & y\n\n<z> \u{65e5}>";
+        let start = Pos::new(7, 3, 40);
+        let mut walker = SpanWalker::new(text, start);
+        for range in [
+            0..1,
+            1..2,
+            2..4,
+            8..9,
+            10..10,
+            13..14,
+            15..16,
+            17..20,
+            20..21,
+        ] {
+            let mut slow = start;
+            for ch in text[..range.start].chars() {
+                slow.advance(ch);
+            }
+            let s = slow;
+            for ch in text[range.clone()].chars() {
+                slow.advance(ch);
+            }
+            assert_eq!(walker.span(range.clone()), Span::new(s, slow), "{range:?}");
+        }
     }
 
     #[test]

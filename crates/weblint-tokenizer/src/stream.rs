@@ -54,10 +54,10 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// let mut names = Vec::new();
 /// for chunk in [&b"<HTML><BO"[..], b"DY>hi</BODY", b"></HTML>"] {
 ///     stream.feed(chunk);
-///     stream.drain_tokens(|tok, _, _| names.push(tok.to_string()));
+///     names.extend(stream.drain().map(|tok| tok.to_string()));
 /// }
 /// stream.finish();
-/// stream.drain_tokens(|tok, _, _| names.push(tok.to_string()));
+/// names.extend(stream.drain().map(|tok| tok.to_string()));
 /// assert_eq!(
 ///     names,
 ///     ["<HTML>", "<BODY>", "text(2 bytes)", "</BODY>", "</HTML>"]
@@ -107,8 +107,8 @@ impl StreamTokenizer {
 
     /// Declare end-of-input: any held-back partial character becomes one
     /// replacement character (as `from_utf8_lossy` of the full input would
-    /// produce), and the next [`drain_tokens`](Self::drain_tokens) emits
-    /// every remaining token.
+    /// produce), and the next [`drain`](Self::drain) releases every
+    /// remaining token.
     pub fn finish(&mut self) {
         if !self.pending.is_empty() {
             self.pending.clear();
@@ -148,29 +148,36 @@ impl StreamTokenizer {
         }
     }
 
-    /// Emit every token that is already stable (every remaining token, after
-    /// [`finish`](Self::finish)).
+    /// Release every token that is already stable (every remaining token,
+    /// after [`finish`](Self::finish)) through one token source for the
+    /// whole drain.
     ///
-    /// The callback receives the token with **global** (whole-document)
-    /// spans, plus the backing text slice and the global byte offset of that
-    /// slice's first byte — enough to resolve any span the token carries via
-    /// `&slice[span.start.offset - slice_offset..]`.
-    pub fn drain_tokens<F: FnMut(Token<'_>, &str, usize)>(&mut self, mut f: F) {
+    /// The [`Drain`] yields tokens with **global** (whole-document) spans.
+    /// Its [`source`](Drain::source) text and [`offset`](Drain::offset) stay
+    /// fixed for the drain and resolve any span a token carries via
+    /// `&source[span.start.offset - offset..]`. When the drain is dropped
+    /// the stream keeps its place: the next drain starts after the last
+    /// token yielded.
+    pub fn drain(&mut self) -> Drain<'_> {
         self.compact();
-        let slice = &self.buf[self.consumed..];
-        let base = self.base;
-        let mut tok = Tokenizer::resume(slice, self.carry);
-        let mut advanced = 0usize;
-        let mut end = base;
-        while let Step::Token(mut t) = tok.step(self.eof) {
-            rebase_token(&mut t, base);
-            advanced = t.span.end.offset - base.offset;
-            end = t.span.end;
-            f(t, slice, base.offset);
+        let StreamTokenizer {
+            buf,
+            consumed,
+            base,
+            carry,
+            eof,
+            ..
+        } = self;
+        let buf: &String = buf;
+        Drain {
+            tokens: Tokenizer::resume(&buf[*consumed..], *carry),
+            eof: *eof,
+            offset: *base,
+            end: *base,
+            carry,
+            consumed,
+            base,
         }
-        self.carry = tok.carry();
-        self.consumed += advanced;
-        self.base = end;
     }
 
     /// Bytes currently buffered (unconsumed suffix plus any undecoded
@@ -178,11 +185,6 @@ impl StreamTokenizer {
     /// in-flight token.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.consumed + self.pending.len()
-    }
-
-    /// Global position just past the last drained token.
-    pub fn pos(&self) -> Pos {
-        self.base
     }
 
     /// Drop the consumed prefix once it dominates the buffer. `consumed` is
@@ -195,6 +197,57 @@ impl StreamTokenizer {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
+    }
+}
+
+/// The token source of one [`StreamTokenizer::drain`]: an iterator over
+/// the tokens the stream can release now, rebased onto document
+/// coordinates. Dropping it writes back the carried tokenizer state, the
+/// consumed byte count and the position of the next token.
+#[derive(Debug)]
+pub struct Drain<'s> {
+    tokens: Tokenizer<'s>,
+    eof: bool,
+    /// Document position of the source's first byte.
+    offset: Pos,
+    /// Document position just past the last token yielded.
+    end: Pos,
+    carry: &'s mut Carry,
+    consumed: &'s mut usize,
+    base: &'s mut Pos,
+}
+
+impl<'s> Drain<'s> {
+    /// The buffered text this drain tokenizes: the stream's unconsumed
+    /// suffix.
+    pub fn source(&self) -> &'s str {
+        self.tokens.source()
+    }
+
+    /// Global byte offset of the first byte of [`Drain::source`].
+    pub fn offset(&self) -> usize {
+        self.offset.offset
+    }
+}
+
+impl<'s> Iterator for Drain<'s> {
+    type Item = Token<'s>;
+
+    fn next(&mut self) -> Option<Token<'s>> {
+        let Step::Token(mut token) = self.tokens.step(self.eof) else {
+            return None;
+        };
+        rebase_token(&mut token, self.offset);
+        self.end = token.span.end;
+        Some(token)
+    }
+}
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        *self.carry = self.tokens.carry();
+        *self.consumed += self.end.offset - self.offset.offset;
+        *self.base = self.end;
     }
 }
 
@@ -259,7 +312,7 @@ mod tests {
             let mut stream = StreamTokenizer::new();
             for chunk in chunks {
                 stream.feed(chunk);
-                stream.drain_tokens(|t, _, _| out.push(format!("{t:?}")));
+                out.extend(stream.drain().map(|t| format!("{t:?}")));
             }
             stream
         };
@@ -274,7 +327,7 @@ mod tests {
             chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
         );
         stream.finish();
-        stream.drain_tokens(|t, _, _| streamed.push(format!("{t:?}")));
+        streamed.extend(stream.drain().map(|t| format!("{t:?}")));
         (one_shot, streamed)
     }
 
@@ -444,7 +497,7 @@ mod tests {
                 let mut released = 0;
                 for chunk in &chunks {
                     stream.feed(chunk);
-                    stream.drain_tokens(|_, _, _| released += 1);
+                    released += stream.drain().count();
                 }
                 assert_eq!(
                     released,
@@ -501,35 +554,58 @@ mod tests {
             let mut got = Vec::new();
             let mut stream = StreamTokenizer::new();
             stream.feed(&src.as_bytes()[..cut]);
-            stream.drain_tokens(|t, _, _| got.push((t.span, format!("{t}"))));
+            got.extend(stream.drain().map(|t| (t.span, format!("{t}"))));
             stream.feed(&src.as_bytes()[cut..]);
             stream.finish();
-            stream.drain_tokens(|t, _, _| got.push((t.span, format!("{t}"))));
+            got.extend(stream.drain().map(|t| (t.span, format!("{t}"))));
             assert_eq!(expected, got, "split at {cut}");
         }
     }
 
     #[test]
-    fn callback_slice_resolves_global_spans() {
+    fn drain_source_resolves_global_spans() {
         let src = b"<HTML>\n<BODY CLASS=\"x\">\ntext\n</BODY>\n";
         let mut stream = StreamTokenizer::new();
         for chunk in src.chunks(5) {
             stream.feed(chunk);
-            stream.drain_tokens(check_slice);
+            check_source(stream.drain());
         }
         stream.finish();
-        stream.drain_tokens(check_slice);
+        check_source(stream.drain());
 
-        fn check_slice(t: Token<'_>, slice: &str, offset: usize) {
-            let local = |span: Span| &slice[span.start.offset - offset..span.end.offset - offset];
-            if let TokenKind::StartTag(tag) = &t.kind {
-                for attr in &tag.attrs {
-                    assert_eq!(local(attr.span), attr.name);
-                    if let Some(v) = &attr.value {
-                        assert_eq!(local(v.span), v.raw);
+        fn check_source(mut drain: Drain<'_>) {
+            let (source, offset) = (drain.source(), drain.offset());
+            let local = |span: Span| &source[span.start.offset - offset..span.end.offset - offset];
+            for t in &mut drain {
+                if let TokenKind::Text(text) = &t.kind {
+                    assert_eq!(local(t.span), text.raw);
+                }
+                if let TokenKind::StartTag(tag) = &t.kind {
+                    for attr in &tag.attrs {
+                        assert_eq!(local(attr.span), attr.name);
+                        if let Some(v) = &attr.value {
+                            assert_eq!(local(v.span), v.raw);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_drain_dropped_early_resumes_after_its_last_token() {
+        let src = "<HTML>\n<BODY>one<B>two</B>\n<SCRIPT>a<b</SCRIPT>x</BODY>";
+        let expected: Vec<String> = tokenize(src).iter().map(|t| format!("{t:?}")).collect();
+        for take in 1..4 {
+            let mut stream = StreamTokenizer::new();
+            let mut got = Vec::new();
+            for chunk in src.as_bytes().chunks(9) {
+                stream.feed(chunk);
+                got.extend(stream.drain().take(take).map(|t| format!("{t:?}")));
+            }
+            stream.finish();
+            got.extend(stream.drain().map(|t| format!("{t:?}")));
+            assert_eq!(got, expected, "{take} tokens per drain");
         }
     }
 
@@ -543,7 +619,7 @@ mod tests {
         let mut peak = 0usize;
         for _ in 0..10_000 {
             stream.feed(para);
-            stream.drain_tokens(|_, _, _| {});
+            stream.drain().for_each(drop);
             peak = peak.max(stream.buffered());
         }
         assert!(
@@ -551,7 +627,7 @@ mod tests {
             "buffer grew to {peak} bytes over a 460 KB stream"
         );
         stream.finish();
-        stream.drain_tokens(|_, _, _| {});
+        stream.drain().for_each(drop);
         assert_eq!(stream.buffered(), 0);
     }
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use weblint_html::{AttrStatus, ElementStatus, Extensions, HtmlSpec, HtmlVersion};
-use weblint_tokenizer::{scan_entities, Pos, Quote, TokenKind, Tokenizer};
+use weblint_tokenizer::{scan_entities, scan_metachars, MetaCharKind, Quote, TokenKind, Tokenizer};
 
 use crate::finding::{Finding, HtmlChecker};
 
@@ -160,7 +160,7 @@ impl RegexChecker {
     }
 
     fn check_text(&self, raw: &str, line: u32, out: &mut Vec<Finding>) {
-        for entity in scan_entities(raw, Pos::START) {
+        for entity in scan_entities(raw) {
             if !entity.numeric && entity.terminated && self.spec.entity(entity.name).is_none() {
                 out.push(Finding::new(
                     line,
@@ -169,8 +169,8 @@ impl RegexChecker {
                 ));
             }
         }
-        for hit in weblint_tokenizer::scan_metachars(raw, Pos::START) {
-            if hit.kind == weblint_tokenizer::MetaCharKind::Lt {
+        for hit in scan_metachars(raw) {
+            if hit.kind == MetaCharKind::Lt {
                 out.push(Finding::new(
                     line,
                     "loose-lt",

@@ -263,7 +263,7 @@ impl Run<'_> {
                 }
             }
         }
-        for entity in scan_entities(raw, weblint_tokenizer::Pos::START) {
+        for entity in scan_entities(raw) {
             if entity.numeric {
                 continue;
             }
