@@ -17,13 +17,15 @@ use std::time::Duration;
 
 use std::path::PathBuf;
 
+use weblint_corpus::{MegaSite, MegaSiteOptions};
 use weblint_gateway::Gateway;
 use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::{ServiceConfig, PANIC_MARKER};
 use weblint_site::{
     AimdPolicy, BreakerState, CheckpointConfig, CheckpointError, FaultSpec, FaultyWeb, FetchStack,
-    Fetcher, HedgePolicy, Observation, Pacer, ResilientFetcher, Robot, RobotOptions, ShardChaos,
-    ShardedOptions, ShardedOutcome, ShardedReport, SharedWeb, SimulatedWeb, Status, Url,
+    Fetcher, FnFetcher, HedgePolicy, Observation, Pacer, ResilientFetcher, Robot, RobotOptions,
+    ShardChaos, ShardedOptions, ShardedOutcome, ShardedReport, SharedWeb, SimulatedWeb, Status,
+    Url,
 };
 
 const PAGES: usize = 24;
@@ -714,6 +716,191 @@ fn stop_flag_pauses_gracefully_and_resume_completes() {
     assert_eq!(resumed.outcome, ShardedOutcome::Complete);
     assert_eq!(sharded_fingerprint(&resumed), golden);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Sharded-crawl golden
+// ---------------------------------------------------------------------
+
+const SHARDED_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/sharded_crawl.txt"
+);
+
+/// One pinned sharded crawl of a generated federation, every shard's
+/// stack carrying faults, resilience, AIMD pacing and hedging.
+struct GoldenCrawl {
+    name: &'static str,
+    /// `MegaSite` seed, hosts, pages per host.
+    site: (u64, usize, usize),
+    faults: &'static str,
+    /// The fault seed of shard `i`, given the site seed.
+    fault_seed: fn(u64, usize) -> u64,
+    shards: usize,
+    jobs: usize,
+}
+
+/// Per-shard fault seeds as the benchmark's crawl workload derives them.
+fn bench_seed(seed: u64, shard: usize) -> u64 {
+    seed.wrapping_add(shard as u64)
+}
+
+/// Per-shard fault seeds as `poacher -shards` derives them.
+fn poacher_seed(seed: u64, shard: usize) -> u64 {
+    seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+fn golden_crawls() -> Vec<GoldenCrawl> {
+    let mut crawls = vec![
+        // The benchmark's crawl workload without its real round trip.
+        GoldenCrawl {
+            name: "bench 6x20 seed 7",
+            site: (7, 6, 20),
+            faults: "5%:latency+timeout+5xx+reset",
+            fault_seed: bench_seed,
+            shards: 2,
+            jobs: 4,
+        },
+        // `poacher -mega 8x100 -faults 10% -fault-seed 7 -adaptive`.
+        GoldenCrawl {
+            name: "mega 8x100 10%",
+            site: (7, 8, 100),
+            faults: "10%",
+            fault_seed: poacher_seed,
+            shards: 2,
+            jobs: 4,
+        },
+    ];
+    // Every request to one host fails: its breaker opens, sheds and
+    // probes. At jobs 1 the breaker rows are the serial schedule.
+    for shards in [1, 2] {
+        for jobs in [1, 4] {
+            crawls.push(GoldenCrawl {
+                name: "mega 8x100 100%:5xx@mega1",
+                site: (7, 8, 100),
+                faults: "100%:5xx@mega1",
+                fault_seed: poacher_seed,
+                shards,
+                jobs,
+            });
+        }
+    }
+    crawls
+}
+
+fn run_golden_crawl(crawl: &GoldenCrawl) -> ShardedReport {
+    let (seed, hosts, pages) = crawl.site;
+    let site = MegaSite::new(
+        seed,
+        &MegaSiteOptions {
+            hosts,
+            pages_per_host: pages,
+            ..MegaSiteOptions::default()
+        },
+    );
+    let spec = FaultSpec::parse(crawl.faults).unwrap();
+    let robot = Robot::new(
+        RobotOptions::builder()
+            .max_pages(site.total_pages() + 8)
+            .jobs(crawl.jobs)
+            .check_external(false)
+            .build(),
+    );
+    let starts: Vec<Url> = site
+        .start_urls()
+        .iter()
+        .map(|u| Url::parse(u).unwrap())
+        .collect();
+    let make_stack = |shard: usize| {
+        FetchStack::new(FnFetcher::new(|url: &Url| {
+            site.resolve(&url.host, &url.path)
+        }))
+        .faults(spec.clone(), (crawl.fault_seed)(seed, shard))
+        .resilience_defaults()
+        .adaptive_defaults()
+        .hedging_defaults()
+        .build()
+    };
+    let options = ShardedOptions {
+        shards: crawl.shards,
+        seed,
+        ..ShardedOptions::default()
+    };
+    robot.crawl_sharded(&starts, make_stack, &options).unwrap()
+}
+
+/// The canonical report, one line per page (depth, link count, every
+/// diagnostic's position and id) and per dead link.
+fn golden_report(run: &ShardedReport) -> String {
+    let mut s = String::new();
+    for p in &run.report.pages {
+        s.push_str(&format!("{} d{} l{}", p.url, p.depth, p.link_count));
+        for d in &p.diagnostics {
+            s.push_str(&format!(" {}:{}:{}", d.line, d.col, d.id));
+        }
+        s.push('\n');
+    }
+    for d in &run.report.dead_links {
+        s.push_str(&format!("dead {} {} ({})\n", d.page, d.href, d.reason));
+    }
+    s
+}
+
+fn render_sharded_golden() -> String {
+    let mut out = String::from(
+        "# Sharded crawl reports and per-shard telemetry. \
+         Regenerate: WEBLINT_GOLDEN_REGEN=1 cargo test -q --test chaos\n",
+    );
+    let mut reports: Vec<(String, String)> = Vec::new();
+    for crawl in golden_crawls() {
+        let run = run_golden_crawl(&crawl);
+        let label = format!(
+            "{} faults {} shards {} jobs {}",
+            crawl.name, crawl.faults, crawl.shards, crawl.jobs
+        );
+        out.push_str(&format!(
+            "== {label}\noutcome {:?} waves {} pages {} dead {} redirects {} truncated {}\n",
+            run.outcome,
+            run.waves,
+            run.report.pages.len(),
+            run.report.dead_links.len(),
+            run.report.redirects_followed,
+            run.report.truncated
+        ));
+        // A report already printed for an earlier row is named, not
+        // repeated: the breaker rows differ only in telemetry.
+        let report = golden_report(&run);
+        match reports.iter().find(|(_, r)| *r == report) {
+            Some((earlier, _)) => out.push_str(&format!("report: same as {earlier}\n")),
+            None => {
+                out.push_str(&report);
+                reports.push((label, report));
+            }
+        }
+        for (i, telemetry) in &run.telemetry {
+            out.push_str(&format!("-- shard {i} telemetry\n{telemetry}\n"));
+        }
+    }
+    out
+}
+
+#[test]
+fn sharded_crawls_match_the_golden_file() {
+    let actual = render_sharded_golden();
+    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
+        std::fs::write(SHARDED_GOLDEN, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(SHARDED_GOLDEN)
+        .expect("golden file missing — run with WEBLINT_GOLDEN_REGEN=1 to create it");
+    for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "first divergence at golden line {}", i + 1);
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "golden and actual differ in length"
+    );
 }
 
 #[test]
