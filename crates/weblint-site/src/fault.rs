@@ -911,8 +911,8 @@ impl<F> ResilientFetcher<F> {
         op: impl Fn(&F, &Url) -> R,
         failed: impl Fn(&R) -> bool,
     ) -> (R, RequestCost) {
-        let host = url.host.clone();
-        if !self.admit(&host) {
+        let host = url.host.as_str();
+        if !self.admit(host) {
             return (
                 shed(),
                 RequestCost {
@@ -921,22 +921,37 @@ impl<F> ResilientFetcher<F> {
                 },
             );
         }
+        let (result, cost) = self.attempt(url, op, &failed);
+        if failed(&result) {
+            self.record_failure(host, cost.retries);
+        } else {
+            self.record_success(host, cost.retries);
+        }
+        (result, cost)
+    }
+
+    /// The retry loop alone, with no admission check and no breaker
+    /// transition: the worker half of a scheduler-issued request, and
+    /// the middle of [`Self::drive`]. Backoff is still accounted (a
+    /// commutative add, safe from any thread); the order-sensitive
+    /// bookkeeping is deferred to [`Self::settle_hop`].
+    fn attempt<R>(
+        &self,
+        url: &Url,
+        op: impl Fn(&F, &Url) -> R,
+        failed: impl Fn(&R) -> bool,
+    ) -> (R, RequestCost) {
+        let host = url.host.as_str();
         let mut cost = RequestCost::default();
         let mut attempt = 0u32;
         loop {
             let result = op(&self.inner, url);
-            if !failed(&result) {
-                self.record_success(&host, attempt);
+            if !failed(&result) || attempt >= self.retry.max_retries {
                 cost.retries = attempt;
                 return (result, cost);
             }
-            if attempt >= self.retry.max_retries {
-                self.record_failure(&host, attempt);
-                cost.retries = attempt;
-                return (result, cost);
-            }
-            let wait = self.backoff(&host, attempt);
-            self.add_backoff(&host, wait);
+            let wait = self.backoff(host, attempt);
+            self.add_backoff(host, wait);
             cost.backoff_us += wait;
             attempt += 1;
         }
@@ -965,28 +980,25 @@ pub(crate) enum HopRecord {
 }
 
 impl<F: Fetcher> ResilientFetcher<F> {
-    /// Worker half of a scheduler-issued GET: the retry loop alone, with
-    /// no admission check and no breaker transition. Backoff is still
-    /// accounted (a commutative add, safe from any thread); the
-    /// order-sensitive bookkeeping is deferred to [`Self::settle_hop`].
+    /// Worker half of a scheduler-issued GET (see [`Self::attempt`]).
     pub(crate) fn attempt_get(&self, url: &Url) -> ((Status, String, String), RequestCost) {
-        let host = url.host.as_str();
-        let mut cost = RequestCost::default();
-        let mut attempt = 0u32;
-        loop {
-            let result = self.inner.get(url);
-            if !transient(&result.0) || attempt >= self.retry.max_retries {
-                cost.retries = attempt;
-                return (result, cost);
-            }
-            let wait = self.backoff(host, attempt);
-            self.add_backoff(host, wait);
-            cost.backoff_us += wait;
-            attempt += 1;
-        }
+        self.attempt(
+            url,
+            |inner, url| inner.get(url),
+            |(status, _, _)| transient(status),
+        )
     }
 
-    /// Scheduler half of a scheduler-issued GET: replay the admission
+    /// Worker half of a scheduler-issued HEAD (see [`Self::attempt`]).
+    pub(crate) fn attempt_head(&self, url: &Url) -> ((Status, String), RequestCost) {
+        self.attempt(
+            url,
+            |inner, url| inner.head(url),
+            |(status, _)| transient(status),
+        )
+    }
+
+    /// Scheduler half of a scheduler-issued request: replay the admission
     /// and outcome bookkeeping that [`Self::drive`] would have done,
     /// strictly in issue order so breaker transitions are deterministic
     /// no matter how the parallel workers interleaved.

@@ -19,7 +19,7 @@ use weblint_service::{JobHandle, LintService};
 use crate::checkpoint::{
     self, load_checkpoint, save_checkpoint, CheckpointError, CheckpointMeta, ShardState,
 };
-use crate::fault::{transient, HopRecord, VIRTUAL_RTT_US};
+use crate::fault::{transient, HopRecord, RequestCost, VIRTUAL_RTT_US};
 use crate::frontier::{shard_of, Candidate, ShardFrontier};
 use crate::links::{extract_links, Link, LinkKind};
 use crate::pacing::{HedgeToken, Observation};
@@ -489,7 +489,9 @@ impl Robot {
             // Without a service, fetch workers lint their page before
             // the batch joins; the service path keeps pool submission.
             let lint = service.is_none().then_some(&self.options.lint);
-            run_batch(self.options.max_redirects, stack, lint, &mut batch);
+            run_batch(&mut batch, |task| {
+                run_task(self.options.max_redirects, stack, lint, task)
+            });
             for task in batch {
                 self.settle_task(stack, start, task, service, &mut state);
             }
@@ -869,24 +871,60 @@ impl FetchTask {
     }
 }
 
-/// Run a batch of fetch tasks — inline when it is one task, otherwise
+/// Run a batch of worker tasks — inline when it is one task, otherwise
 /// one scoped worker thread per task (the batch width is already capped
 /// by `jobs` and the per-host limit).
-fn run_batch<F: Fetcher + Sync>(
-    max_redirects: usize,
-    stack: &FetchStack<F>,
-    lint: Option<&LintConfig>,
-    batch: &mut [FetchTask],
-) {
+fn run_batch<T: Send>(batch: &mut [T], work: impl Fn(&mut T) + Sync) {
     if let [task] = batch {
-        run_task(max_redirects, stack, lint, task);
+        work(task);
         return;
     }
+    let work = &work;
     std::thread::scope(|scope| {
         for task in batch.iter_mut() {
-            scope.spawn(move || run_task(max_redirects, stack, lint, task));
+            scope.spawn(move || work(task));
         }
     });
+}
+
+/// Walk `items` in issue-order batches and hand each to `run`. A batch
+/// takes items from the front and never reorders them; it ends at `jobs`
+/// items (at least 1, whatever the options say) or before a host would
+/// exceed its AIMD `limit`, read when the batch forms. `run` settles a
+/// batch before the next one forms, so the limits it moves shape the
+/// next batch.
+fn for_each_batch<F: Fetcher, T>(
+    stack: &FetchStack<F>,
+    jobs: usize,
+    items: &[T],
+    url: impl Fn(&T) -> &Url,
+    mut run: impl FnMut(&[T]),
+) {
+    let width = jobs.max(1);
+    let mut index = 0usize;
+    while index < items.len() {
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut end = index;
+        while end < items.len() && end - index < width {
+            let host = url(&items[end]).host.as_str();
+            let seen = counts.entry(host).or_insert(0);
+            if end > index && *seen >= stack.pacer().limit(host).max(1) {
+                break;
+            }
+            *seen += 1;
+            end += 1;
+        }
+        let batch = &items[index..end];
+        // Fault decisions are a pure function of (seed, url, attempt)
+        // with a per-URL attempt counter, so two requests for one URL in
+        // flight together would race for attempt numbers.
+        debug_assert!(
+            batch.iter().map(&url).collect::<HashSet<_>>().len() == batch.len(),
+            "a batch holds two requests for one URL"
+        );
+        run(batch);
+        index = end;
+    }
 }
 
 /// Execute one fetch task on a worker: follow redirects through the
@@ -969,6 +1007,54 @@ fn run_task<F: Fetcher>(
     task.bad = bad;
     task.hedge_fired = fired;
     task.hedge_won = won;
+}
+
+/// One link-validation HEAD issued to a fetch worker; its answer and
+/// what it cost are settled in issue order after the batch joins.
+struct HeadTask<'a> {
+    url: &'a Url,
+    answer: Option<((Status, String), RequestCost)>,
+}
+
+/// Execute one HEAD on a worker: shed it if the frozen breaker snapshot
+/// is open, otherwise run the retry loop with no breaker transition.
+fn run_head<F: Fetcher>(stack: &FetchStack<F>, task: &mut HeadTask<'_>) {
+    task.answer = Some(if stack.frozen_allows(&task.url.host) {
+        stack.attempt_head(task.url)
+    } else {
+        let shed = RequestCost {
+            shed: true,
+            ..RequestCost::default()
+        };
+        ((Status::ServerError, String::new()), shed)
+    });
+}
+
+/// Settle one HEAD in issue order — the breaker bookkeeping and pacing
+/// observation a guarded drive through the stack would have made — and
+/// return its answer.
+fn settle_head<F: Fetcher>(stack: &FetchStack<F>, task: HeadTask<'_>) -> (Status, String) {
+    let (answer, cost) = task.answer.expect("batch ran every HEAD");
+    let failed = transient(&answer.0);
+    let record = if cost.shed {
+        HopRecord::Shed
+    } else {
+        HopRecord::Done {
+            failed,
+            retries: cost.retries,
+        }
+    };
+    stack.settle_hop(&task.url.host, &record);
+    let bad = cost.shed || cost.retries > 0 || failed;
+    stack.pacer().observe(
+        &task.url.host,
+        Observation {
+            clean: !bad,
+            bad,
+            latency_us: cost.virtual_us(),
+        },
+    );
+    answer
 }
 
 /// HEAD transport used during link validation: the bare fetcher for the
@@ -1283,11 +1369,13 @@ fn dead_reason(status: &Status, external: bool) -> Option<String> {
     })
 }
 
-/// Run one shard's wave on its own thread: HEAD-validate probes,
-/// classify candidates, then GET + lint pages in bounded batches with
-/// the same issue-order settling discipline as [`Robot::crawl_stack`].
-/// Everything order-sensitive happens in `(depth, url)` order, so the
-/// delta is a pure function of (assignment, restored stack state).
+/// Run one shard's wave on its own thread: HEAD-validate probes and
+/// HEAD-classify candidates, then GET + lint pages. Both phases run in
+/// the same bounded batches ([`for_each_batch`]: at most `jobs` in
+/// flight, each host under its AIMD limit) with the same issue-order
+/// settling discipline as [`Robot::crawl_stack`]. Everything
+/// order-sensitive happens in `(depth, url)` order, so the delta is a
+/// pure function of (assignment, restored stack state).
 fn run_shard_wave<F: Fetcher + Sync>(
     options: &RobotOptions,
     federation: &BTreeSet<String>,
@@ -1296,25 +1384,50 @@ fn run_shard_wave<F: Fetcher + Sync>(
     assignment: &WaveAssignment,
 ) -> WaveDelta {
     let mut delta = WaveDelta::default();
-    let probe = StackProbe(stack);
-    for request in &assignment.probes {
-        let (status, _) = probe.probe(&request.url);
+    // One HEAD list, probes first: both halves are already in
+    // `(depth, url)` order and never share a URL (a discovered link
+    // leaves the probe queue, a probe for a seen page is dropped).
+    let heads: Vec<&Candidate> = assignment
+        .probes
+        .iter()
+        .chain(&assignment.candidates)
+        .collect();
+    let mut answers: Vec<(Status, String)> = Vec::with_capacity(heads.len());
+    for_each_batch(
+        stack,
+        options.jobs,
+        &heads,
+        |c| &c.url,
+        |batch| {
+            let mut tasks: Vec<HeadTask> = batch
+                .iter()
+                .map(|c| HeadTask {
+                    url: &c.url,
+                    answer: None,
+                })
+                .collect();
+            run_batch(&mut tasks, |task| run_head(stack, task));
+            answers.extend(tasks.into_iter().map(|task| settle_head(stack, task)));
+        },
+    );
+    let (probe_answers, candidate_answers) = answers.split_at(assignment.probes.len());
+    for (request, (status, _)) in assignment.probes.iter().zip(probe_answers) {
         let external = !federation.contains(&request.url.host);
-        if let Some(reason) = dead_reason(&status, external) {
+        if let Some(reason) = dead_reason(status, external) {
             let (page, href) = attribution(request);
             delta.dead_links.push(DeadLink { page, href, reason });
         }
     }
-    // HEAD-classify candidates: pages and redirects go on to the GET
-    // phase, assets are done, the dead are reported.
+    // Pages and redirects go on to the GET phase, assets are done, the
+    // dead are reported.
     let mut gets: Vec<&Candidate> = Vec::new();
-    for candidate in &assignment.candidates {
-        match probe.probe(&candidate.url) {
+    for (candidate, answer) in assignment.candidates.iter().zip(candidate_answers) {
+        match answer {
             (Status::Ok, ct) if ct.starts_with("text/html") => gets.push(candidate),
             (Status::Ok, _) => {}
             (Status::Redirect(_), _) => gets.push(candidate),
             (status, _) => {
-                if let Some(reason) = dead_reason(&status, false) {
+                if let Some(reason) = dead_reason(status, false) {
                     let (page, href) = attribution(candidate);
                     delta.dead_links.push(DeadLink { page, href, reason });
                 }
@@ -1324,55 +1437,39 @@ fn run_shard_wave<F: Fetcher + Sync>(
     if assignment.inject_panic && gets.is_empty() {
         panic!("injected shard death");
     }
-    // GET in batches: take candidates from the front (never reorder)
-    // while each host stays under its frozen AIMD limit and the batch
-    // under `jobs`; settle in issue order.
-    let mut index = 0usize;
     let mut first_batch = true;
-    while index < gets.len() {
-        let batch_start = index;
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut batch: Vec<FetchTask> = Vec::new();
-        while index < gets.len() && batch.len() < options.jobs {
-            let host = gets[index].url.host.as_str();
-            let limit = stack.pacer().limit(host).max(1);
-            let seen = counts.get(host).copied().unwrap_or(0);
-            if !batch.is_empty() && seen >= limit {
-                break;
+    for_each_batch(
+        stack,
+        options.jobs,
+        &gets,
+        |c| &c.url,
+        |batch| {
+            let mut tasks: Vec<FetchTask> = batch
+                .iter()
+                .map(|c| {
+                    let token = stack
+                        .pacer()
+                        .authorize(&c.url.host, stack.breaker_state(&c.url.host));
+                    FetchTask::new(c.url.clone(), c.depth, token)
+                })
+                .collect();
+            run_batch(&mut tasks, |task| {
+                run_task(options.max_redirects, stack, Some(&options.lint), task)
+            });
+            for (candidate, task) in batch.iter().zip(tasks) {
+                settle_sharded_task(
+                    options, federation, stack, weblint, candidate, task, &mut delta,
+                );
             }
-            *counts.entry(host).or_insert(0) += 1;
-            let url = gets[index].url.clone();
-            let token = stack
-                .pacer()
-                .authorize(&url.host, stack.breaker_state(&url.host));
-            batch.push(FetchTask::new(url, gets[index].depth, token));
-            index += 1;
-        }
-        run_batch(
-            options.max_redirects,
-            stack,
-            Some(&options.lint),
-            &mut batch,
-        );
-        for (offset, task) in batch.into_iter().enumerate() {
-            settle_sharded_task(
-                options,
-                federation,
-                stack,
-                weblint,
-                gets[batch_start + offset],
-                task,
-                &mut delta,
-            );
-        }
-        if assignment.inject_panic && first_batch {
-            // Mid-wave: some of this wave's work is settled, the rest is
-            // in flight. The coordinator must rerun the whole wave from
-            // the pre-wave snapshot.
-            panic!("injected shard death");
-        }
-        first_batch = false;
-    }
+            if assignment.inject_panic && first_batch {
+                // Mid-wave: some of this wave's work is settled, the
+                // rest is in flight. The coordinator must rerun the
+                // whole wave from the pre-wave snapshot.
+                panic!("injected shard death");
+            }
+            first_batch = false;
+        },
+    );
     delta.stack = stack.export_state();
     delta
 }

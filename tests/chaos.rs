@@ -9,9 +9,10 @@
 //! harness cannot silently drop evidence), and nothing wedges — every
 //! request gets a definite answer inside a hard deadline.
 
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -686,7 +687,6 @@ fn resume_refuses_a_checkpoint_from_a_different_configuration() {
 #[test]
 fn stop_flag_pauses_gracefully_and_resume_completes() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     let golden = sharded_fingerprint(&fed_crawl(2, 15, |_| {}).unwrap());
     let dir = chaos_dir("stop");
@@ -901,6 +901,149 @@ fn sharded_crawls_match_the_golden_file() {
         actual.lines().count(),
         "golden and actual differ in length"
     );
+}
+
+/// HEADs in flight right now and the most ever seen, per host and per
+/// shard.
+#[derive(Default)]
+struct HeadGauges {
+    hosts: BTreeMap<String, (usize, usize)>,
+    shards: BTreeMap<usize, (usize, usize)>,
+}
+
+fn gauge_up(gauge: &mut (usize, usize)) {
+    gauge.0 += 1;
+    gauge.1 = gauge.1.max(gauge.0);
+}
+
+/// A transport double for one shard: every HEAD takes a few real
+/// milliseconds and is counted while in flight.
+struct GaugedWeb {
+    web: SharedWeb,
+    shard: usize,
+    gauges: Arc<Mutex<HeadGauges>>,
+}
+
+impl Fetcher for GaugedWeb {
+    fn head(&self, url: &Url) -> (Status, String) {
+        {
+            let mut gauges = self.gauges.lock().unwrap();
+            gauge_up(gauges.hosts.entry(url.host.clone()).or_default());
+            gauge_up(gauges.shards.entry(self.shard).or_default());
+        }
+        thread::sleep(Duration::from_millis(4));
+        {
+            let mut gauges = self.gauges.lock().unwrap();
+            gauges.hosts.get_mut(&url.host).unwrap().0 -= 1;
+            gauges.shards.get_mut(&self.shard).unwrap().0 -= 1;
+        }
+        self.web.head(url)
+    }
+
+    fn get(&self, url: &Url) -> (Status, String, String) {
+        self.web.get(url)
+    }
+}
+
+#[test]
+fn sharded_heads_run_in_parallel_within_jobs_and_host_limits() {
+    const JOBS: usize = 3;
+    const HOST_LIMIT: u32 = 2;
+    const WIDE_HOSTS: usize = 4;
+    const WIDE_PAGES: usize = 8;
+    // Every index links all of its host's pages, so the second wave
+    // HEAD-classifies well over `JOBS` candidates per shard.
+    let mut web = SimulatedWeb::new();
+    for h in 0..WIDE_HOSTS {
+        let mut index = String::from("<HTML><HEAD><TITLE>wide</TITLE></HEAD><BODY>");
+        for i in 0..WIDE_PAGES {
+            index.push_str(&format!("<A HREF=\"/p{i}.html\">p{i}</A>\n"));
+            web.add_page(
+                &format!("http://wide{h}/p{i}.html"),
+                "<HTML><HEAD><TITLE>p</TITLE></HEAD><BODY><P>x</P></BODY></HTML>".to_string(),
+            );
+        }
+        index.push_str("</BODY></HTML>");
+        web.add_page(&format!("http://wide{h}/index.html"), index);
+    }
+    let web = SharedWeb::new(web);
+    let gauges = Arc::new(Mutex::new(HeadGauges::default()));
+    let robot = Robot::new(
+        RobotOptions::builder()
+            .jobs(JOBS)
+            .check_external(false)
+            .build(),
+    );
+    let starts: Vec<Url> = (0..WIDE_HOSTS)
+        .map(|h| Url::parse(&format!("http://wide{h}/index.html")).unwrap())
+        .collect();
+    // A fixed per-host AIMD limit below `JOBS`, so both caps bind.
+    let make_stack = |shard: usize| {
+        FetchStack::new(GaugedWeb {
+            web: web.clone(),
+            shard,
+            gauges: Arc::clone(&gauges),
+        })
+        .adaptive(AimdPolicy {
+            initial_limit: HOST_LIMIT,
+            max_limit: HOST_LIMIT,
+            ..AimdPolicy::default()
+        })
+        .build()
+    };
+    let options = ShardedOptions {
+        shards: 2,
+        ..ShardedOptions::default()
+    };
+    let run = robot.crawl_sharded(&starts, make_stack, &options).unwrap();
+    assert_eq!(run.outcome, ShardedOutcome::Complete);
+    assert_eq!(run.report.pages.len(), WIDE_HOSTS * (WIDE_PAGES + 1));
+
+    let gauges = gauges.lock().unwrap();
+    let widest = gauges.shards.values().map(|g| g.1).max().unwrap();
+    assert!(widest > 1, "HEADs ran one at a time: {widest} in flight");
+    for (shard, (_, peak)) in &gauges.shards {
+        assert!(*peak <= JOBS, "shard {shard}: {peak} HEADs in flight");
+    }
+    for (host, (_, peak)) in &gauges.hosts {
+        assert!(
+            *peak <= HOST_LIMIT as usize,
+            "{host}: {peak} HEADs in flight"
+        );
+    }
+}
+
+#[test]
+fn sharded_crawl_with_zero_jobs_still_finishes() {
+    // `jobs` is a public field, so a struct literal skips the builder's
+    // clamp; both engines must still treat it as one fetch at a time.
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let web = federation_site();
+        let robot = Robot::new(RobotOptions {
+            jobs: 0,
+            check_external: false,
+            ..RobotOptions::default()
+        });
+        let starts: Vec<Url> = (0..FED_HOSTS)
+            .map(|h| Url::parse(&format!("http://fed{h}/index.html")).unwrap())
+            .collect();
+        let options = ShardedOptions {
+            shards: 2,
+            ..ShardedOptions::default()
+        };
+        let sharded = robot
+            .crawl_sharded(&starts, |_| FetchStack::new(web.clone()).build(), &options)
+            .map(|run| run.report.pages.len());
+        let stack = FetchStack::new(web.clone()).build();
+        let single = robot.crawl_stack(&stack, &starts[0]).pages.len();
+        let _ = tx.send((sharded, single));
+    });
+    let (sharded, single) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a crawl with jobs 0 never returned");
+    assert_eq!(sharded.unwrap(), FED_HOSTS * (PAGES + 1));
+    assert_eq!(single, PAGES + 1);
 }
 
 #[test]
