@@ -1058,8 +1058,8 @@ fn settle_head<F: Fetcher>(stack: &FetchStack<F>, task: HeadTask<'_>) -> (Status
 }
 
 /// HEAD transport used during link validation: the bare fetcher for the
-/// sequential crawl, or the stack — guarded drive plus a pacing
-/// observation — for the adaptive one.
+/// sequential crawl, or the stack — one HEAD run and settled as a batch
+/// of one — for the adaptive one.
 trait HeadProbe {
     fn probe(&self, url: &Url) -> (Status, String);
 }
@@ -1076,17 +1076,9 @@ struct StackProbe<'a, F: Fetcher>(&'a FetchStack<F>);
 
 impl<F: Fetcher> HeadProbe for StackProbe<'_, F> {
     fn probe(&self, url: &Url) -> (Status, String) {
-        let (result, cost) = self.0.head_cost(url);
-        let bad = cost.shed || cost.retries > 0 || transient(&result.0);
-        self.0.pacer().observe(
-            &url.host,
-            Observation {
-                clean: !bad,
-                bad,
-                latency_us: cost.virtual_us(),
-            },
-        );
-        result
+        let mut task = HeadTask { url, answer: None };
+        run_head(self.0, &mut task);
+        settle_head(self.0, task)
     }
 }
 
