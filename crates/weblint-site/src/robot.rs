@@ -192,9 +192,11 @@ pub struct RobotOptions {
     /// Bound on click depth: links found on pages at this depth are
     /// still validated, but not crawled. `None` crawls without bound.
     pub max_depth: Option<usize>,
-    /// Fetches [`Robot::crawl_stack`] may keep in flight at once (the
-    /// adaptive per-host limit clamps each batch further). `1` crawls
-    /// sequentially; `crawl`/`crawl_with` are always sequential.
+    /// Fetches [`Robot::crawl_stack`] may keep in flight at once, and
+    /// the width of each shard's HEAD and GET batches in
+    /// [`Robot::crawl_sharded`] (the adaptive per-host limit clamps each
+    /// batch further). `1` — or `0`, read as `1` — fetches one request
+    /// at a time; `crawl`/`crawl_with` are always sequential.
     pub jobs: usize,
     /// HEAD-validate links that leave the start host.
     pub check_external: bool,
@@ -252,8 +254,9 @@ impl RobotOptionsBuilder {
         self
     }
 
-    /// Parallel fetch slots for [`Robot::crawl_stack`]; clamped to
-    /// 1..=64.
+    /// Parallel fetch slots for [`Robot::crawl_stack`], and per shard
+    /// for the HEAD and GET batches of [`Robot::crawl_sharded`];
+    /// clamped to 1..=64.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs.clamp(1, 64);
         self
@@ -1554,7 +1557,9 @@ impl Robot {
     /// the coordinator, and the merged report uses a canonical
     /// `(depth, url)` order — so for a fixed seed the output is
     /// byte-identical run to run, across shard deaths, and across a
-    /// kill + resume, which the chaos suite asserts.
+    /// kill + resume, which the chaos suite asserts. Within a wave each
+    /// shard HEADs its probes and candidates, then GETs its pages, both
+    /// in batches of at most [`RobotOptions::jobs`] requests.
     ///
     /// With `opts.checkpoint` set, every shard's full state (visited
     /// set, pending frontier, probe queue, pages, per-host stack state)
